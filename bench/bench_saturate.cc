@@ -14,6 +14,9 @@
 //     to STATS received, reported as p50/p99 (`p50_ms`, `p99_ms`).
 //   - Aggregate throughput (`events_per_sec`, snapshots applied across
 //     all clients per second of wall clock) is the capacity headline.
+//   - `acks_per_snapshot` (ACK frames over snapshots, from the servers'
+//     STATS) shows how well the loop batches its ACKs; recorded, not
+//     gated. `cores` names the parallelism the row ran with.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -41,6 +44,7 @@ double percentile(std::vector<double> sorted, double p) {
 struct SaturateResult {
   std::vector<double> latencies_ms;  // per completed client
   std::int64_t snapshots = 0;
+  std::int64_t acks = 0;
   std::int64_t verdict_mismatches = 0;
   std::int64_t incomplete = 0;
   double seconds = 0;
@@ -127,6 +131,7 @@ SaturateResult run_saturation(const Computation& comp,
     }
     out.latencies_ms.push_back(c.latency_ms);
     out.snapshots += c.client->server_stats().snapshots_in;
+    out.acks += c.client->server_stats().acks_sent;
     // Byte-identical to offline: same number of verdicts, same detection
     // bit, same minimal cut on every subscription.
     if (c.client->verdicts().size() != opts.subs.size()) {
@@ -169,6 +174,12 @@ void BM_Serve_Saturate(benchmark::State& state) {
       r.seconds > 0 ? static_cast<double>(r.snapshots) / r.seconds : 0;
   const double p50 = percentile(r.latencies_ms, 0.50);
   const double p99 = percentile(r.latencies_ms, 0.99);
+  const double acks_per_snapshot =
+      r.snapshots > 0 ? static_cast<double>(r.acks) /
+                            static_cast<double>(r.snapshots)
+                      : 0;
+  const auto cores =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
 
   state.counters["clients"] = static_cast<double>(num_clients);
   state.counters["events_per_sec"] = events_per_sec;
@@ -177,6 +188,7 @@ void BM_Serve_Saturate(benchmark::State& state) {
   state.counters["verdict_mismatches"] =
       static_cast<double>(r.verdict_mismatches);
   state.counters["incomplete"] = static_cast<double>(r.incomplete);
+  state.counters["acks_per_snapshot"] = acks_per_snapshot;
 
   detect::ReportParams rp;
   rp.N = static_cast<std::int64_t>(N);
@@ -195,7 +207,9 @@ void BM_Serve_Saturate(benchmark::State& state) {
               {"p99_ms", p99},
               {"wall_seconds", r.seconds},
               {"verdict_mismatches", r.verdict_mismatches},
-              {"incomplete", r.incomplete}},
+              {"incomplete", r.incomplete},
+              {"acks_per_snapshot", acks_per_snapshot},
+              {"cores", cores}},
              std::nullopt, std::nullopt);
 }
 BENCHMARK(BM_Serve_Saturate)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);

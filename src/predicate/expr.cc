@@ -226,8 +226,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void print(std::ostream& os, const Expr& e);
-
 }  // namespace
 
 Expr Expr::parse(std::string_view text) { return Parser(text).parse(); }

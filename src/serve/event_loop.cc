@@ -164,8 +164,7 @@ void EventLoopServer::loop_main(std::size_t index) {
         on_accept(loop);
         continue;
       }
-      handle_conn(loop, static_cast<Conn*>(tag),
-                  events[static_cast<std::size_t>(i)].events);
+      handle_conn(loop, static_cast<Conn*>(tag));
     }
   }
 }
@@ -237,31 +236,38 @@ void EventLoopServer::add_conn(Loop& loop, std::unique_ptr<Conn> conn) {
   loop.conns.emplace(fd, std::move(conn));
 }
 
-void EventLoopServer::handle_conn(Loop& loop, Conn* conn,
-                                  std::uint32_t events) {
+void EventLoopServer::handle_conn(Loop& loop, Conn* conn) {
   TcpTransport& t = *conn->transport;
   // The loop must survive anything a single connection throws — protocol
   // violations become ERROR frames, everything else (transport failures,
   // an exception escaping a detection core) fails just this connection.
   try {
-    if (events & EPOLLOUT) t.flush();
     // The drive loop runs on EVERY wakeup, not just readable ones: the
     // nonblocking fill may have parked complete frames in the frame
     // assembler before backpressure paused processing, and buffered
     // frames never re-trigger EPOLLIN (level-triggered readiness is
-    // about socket bytes, not assembler contents). The EPOLLOUT flush
-    // that brings pending_out() back under the high-water mark must
-    // therefore resume the loop itself, or a client that has already
-    // sent its whole stream strands forever on an empty socket. The
-    // backpressure invariant that keeps this live: leaving frames parked
-    // implies pending_out() > write_high_water, which arms EPOLLOUT, so
-    // a future wakeup is always scheduled.
-    while (!conn->driver.done() &&
-           t.pending_out() <= opts_.write_high_water) {
-      std::optional<std::vector<std::uint8_t>> raw =
-          t.receive(/*block=*/false);
-      if (!raw) break;
-      conn->driver.on_frame(*raw);
+    // about socket bytes, not assembler contents). The flush that brings
+    // pending_out() back under the high-water mark must therefore resume
+    // the loop itself, or a client that has already sent its whole
+    // stream strands forever on an empty socket.
+    for (;;) {
+      bool paused = false;
+      while (!conn->driver.done()) {
+        if (t.pending_out() > opts_.write_high_water) {
+          paused = true;
+          break;
+        }
+        std::optional<std::vector<std::uint8_t>> raw =
+            t.receive(/*block=*/false);
+        if (!raw) break;
+        conn->driver.on_frame(*raw);
+      }
+      // One cumulative ACK for the batch, then one write for everything
+      // the batch produced.
+      conn->driver.end_batch();
+      // Liveness: frames stay parked only while the flush leaves output
+      // buffered, which arms EPOLLOUT, so a future wakeup is scheduled.
+      if (!t.flush() || !paused) break;
     }
     if (!conn->driver.done() && t.closed()) conn->driver.on_peer_closed();
   } catch (const std::invalid_argument& e) {

@@ -14,27 +14,32 @@
 //     instead of spinning on level-triggered readiness, with the kernel
 //     backlog absorbing the burst).
 //   - Each connection is a nonblocking TcpTransport plus a
-//     ConnectionDriver (server.h). On EPOLLIN the loop drains complete
-//     frames into the driver; the session's responses go through the
-//     transport's buffered send, which never blocks a loop thread.
+//     ConnectionDriver (server.h). On each wakeup the loop drains the
+//     complete frames into the driver as one batch, ends the batch (one
+//     cumulative ACK), and flushes once: the session's responses only
+//     append to the transport's write buffer, and everything the wakeup
+//     produced leaves in one send(2), never blocking a loop thread.
 //
 // Backpressure invariants (see docs/ALGORITHMS.md §14):
 //
 //   - EPOLLOUT is armed iff the connection has buffered output, so a slow
 //     reader costs nothing while the kernel drains.
 //   - A connection whose buffered output exceeds write_high_water stops
-//     being read (EPOLLIN disarmed) until the buffer drains. Since the
-//     session emits output only in response to input, buffered output is
-//     bounded by write_high_water plus the burst one frame can trigger —
+//     being read (EPOLLIN disarmed) until the buffer drains. Buffered
+//     output counts every unwritten byte, including what the current
+//     wakeup has appended but not yet flushed. Since the session emits
+//     output only in response to input, buffered output is bounded by
+//     write_high_water plus the burst one frame can trigger —
 //     a slow or stalled client caps its own server-side memory and its
 //     TCP window eventually closes, pushing the backpressure to the
 //     sender.
 //   - The frame-drive loop runs on every wakeup, EPOLLOUT included:
 //     complete frames the nonblocking fill already pulled into the frame
 //     assembler never re-trigger level-triggered EPOLLIN, so the flush
-//     that clears backpressure resumes processing them itself. Frames
-//     are left parked only while pending_out() exceeds the high-water
-//     mark, which keeps EPOLLOUT armed — a future wakeup is always
+//     that clears backpressure resumes processing them itself: if the
+//     wakeup's flush empties the buffer, the drive loop runs again at
+//     once. Frames are left parked only while the flush leaves output
+//     buffered, which keeps EPOLLOUT armed — a future wakeup is always
 //     scheduled, so parked frames can never strand.
 //   - A frame is written whole or the connection is failed with the
 //     error surfaced; there is no silent tail-drop path.
@@ -107,7 +112,7 @@ class EventLoopServer {
   void on_accept(Loop& loop);
   void adopt_incoming(Loop& loop);
   void add_conn(Loop& loop, std::unique_ptr<Conn> conn);
-  void handle_conn(Loop& loop, Conn* conn, std::uint32_t events);
+  void handle_conn(Loop& loop, Conn* conn);
   void finish_or_rearm(Loop& loop, Conn* conn);
   void retire(Loop& loop, Conn* conn);
   static void wake(Loop& loop);

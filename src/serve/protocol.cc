@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/error.h"
+
 namespace wcp::serve {
 
 namespace {
@@ -12,24 +14,47 @@ namespace {
   throw std::invalid_argument("wcp-stream parse error: " + why);
 }
 
-class Writer {
+/// Counts the bytes a Writer would write, so a frame is encoded into one
+/// exactly pre-sized buffer.
+class Sizer {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(std::uint8_t(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(std::uint8_t(v >> (8 * i)));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void bytes(const void* p, std::size_t len) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out_.insert(out_.end(), b, b + len);
-  }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
+  void u8(std::uint8_t) { size_ += 1; }
+  void u32(std::uint32_t) { size_ += 4; }
+  void u64(std::uint64_t) { size_ += 8; }
+  void i64(std::int64_t) { size_ += 8; }
+  void bytes(const void*, std::size_t len) { size_ += len; }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
+  std::size_t size_ = 0;
+};
+
+/// Little-endian writer into a buffer of a size fixed up front.
+class Writer {
+ public:
+  explicit Writer(std::size_t size) : out_(size) {}
+
+  void u8(std::uint8_t v) { out_[pos_++] = v; }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void bytes(const void* p, std::size_t len) {
+    if (len > 0) std::memcpy(out_.data() + pos_, p, len);
+    pos_ += len;
+  }
+  [[nodiscard]] std::vector<std::uint8_t> take() {
+    WCP_CHECK(pos_ == out_.size());
+    return std::move(out_);
+  }
+
+ private:
+  void le(std::uint64_t v, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i)
+      out_[pos_++] = std::uint8_t(v >> (8 * i));
+  }
+
   std::vector<std::uint8_t> out_;
+  std::size_t pos_ = 0;
 };
 
 /// Positioned little-endian reader over one frame's bytes. `where` names
@@ -213,64 +238,72 @@ Frame make_error(std::string message) {
   return f;
 }
 
-std::vector<std::uint8_t> encode_frame(const Frame& f, std::uint64_t seq) {
-  Writer payload;
+namespace {
+
+template <class W>
+void write_payload(W& w, const Frame& f) {
   switch (f.type) {
     case FrameType::kHello:
-      payload.bytes(kStreamMagic, sizeof(kStreamMagic));
-      payload.u32(f.hello.version);
-      payload.u32(f.hello.slots);
-      payload.u32(f.hello.num_predicates);
+      w.bytes(kStreamMagic, sizeof(kStreamMagic));
+      w.u32(f.hello.version);
+      w.u32(f.hello.slots);
+      w.u32(f.hello.num_predicates);
       break;
     case FrameType::kSubscribe:
-      payload.u32(f.subscribe.sub_id);
-      payload.u8(static_cast<std::uint8_t>(f.subscribe.algo));
-      payload.u32(f.subscribe.pred_index);
-      payload.i64(f.subscribe.max_cuts);
+      w.u32(f.subscribe.sub_id);
+      w.u8(static_cast<std::uint8_t>(f.subscribe.algo));
+      w.u32(f.subscribe.pred_index);
+      w.i64(f.subscribe.max_cuts);
       break;
     case FrameType::kSnapshot:
-      payload.u32(f.snapshot.slot);
-      payload.u64(f.snapshot.pred_mask);
+      w.u32(f.snapshot.slot);
+      w.u64(f.snapshot.pred_mask);
       for (const StateIndex c : f.snapshot.clock)
-        payload.u64(static_cast<std::uint64_t>(c));
+        w.u64(static_cast<std::uint64_t>(c));
       break;
     case FrameType::kEos:
-      payload.u32(f.eos.slot);
+      w.u32(f.eos.slot);
       break;
     case FrameType::kFinish:
       break;
     case FrameType::kAck:
-      payload.u64(f.ack.next_seq);
+      w.u64(f.ack.next_seq);
       break;
     case FrameType::kVerdict: {
-      payload.u32(f.verdict.sub_id);
+      w.u32(f.verdict.sub_id);
       std::uint8_t flags = 0;
       if (f.verdict.detected) flags |= 1;
       if (f.verdict.truncated) flags |= 2;
-      payload.u8(flags);
-      payload.u32(static_cast<std::uint32_t>(f.verdict.cut.size()));
+      w.u8(flags);
+      w.u32(static_cast<std::uint32_t>(f.verdict.cut.size()));
       for (const StateIndex c : f.verdict.cut)
-        payload.u64(static_cast<std::uint64_t>(c));
+        w.u64(static_cast<std::uint64_t>(c));
       break;
     }
     case FrameType::kStats: {
       const auto values = f.stats.stats.values();
-      payload.u32(static_cast<std::uint32_t>(values.size()));
-      for (const std::int64_t v : values) payload.i64(v);
+      w.u32(static_cast<std::uint32_t>(values.size()));
+      for (const std::int64_t v : values) w.i64(v);
       break;
     }
     case FrameType::kError:
-      payload.u32(static_cast<std::uint32_t>(f.error.message.size()));
-      payload.bytes(f.error.message.data(), f.error.message.size());
+      w.u32(static_cast<std::uint32_t>(f.error.message.size()));
+      w.bytes(f.error.message.data(), f.error.message.size());
       break;
   }
-  auto body = payload.take();
+}
 
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(kFrameOverhead + body.size()));
+}  // namespace
+
+std::vector<std::uint8_t> encode_frame(const Frame& f, std::uint64_t seq) {
+  Sizer payload;
+  write_payload(payload, f);
+  const std::size_t length = kFrameOverhead + payload.size();
+  Writer w(4 + length);
+  w.u32(static_cast<std::uint32_t>(length));
   w.u64(seq);
   w.u8(static_cast<std::uint8_t>(f.type));
-  w.bytes(body.data(), body.size());
+  write_payload(w, f);
   return w.take();
 }
 

@@ -64,6 +64,7 @@ ReplayResult replay_stream(const Computation& comp,
       session.on_frame(*raw);
       progressed = true;
     }
+    session.end_batch();  // one cumulative ACK for the round's frames
     if (progressed) {
       stalls = 0;
       continue;

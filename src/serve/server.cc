@@ -29,6 +29,10 @@ bool ConnectionDriver::on_frame(std::span<const std::uint8_t> bytes) {
   return true;
 }
 
+void ConnectionDriver::end_batch() {
+  if (!done_) session_.end_batch();
+}
+
 void ConnectionDriver::on_peer_closed() {
   if (done_) return;
   result_.clean = session_.finished();
@@ -55,28 +59,6 @@ void ConnectionDriver::on_transport_error(const std::string& what) {
 void ConnectionDriver::finalize() {
   result_.stats = session_.stats();
   done_ = true;
-}
-
-ConnectionResult serve_connection(Transport& transport,
-                                  const ServeOptions& opts) {
-  ConnectionDriver driver(transport, opts);
-  try {
-    while (!driver.done()) {
-      std::optional<std::vector<std::uint8_t>> raw =
-          transport.receive(/*block=*/true);
-      if (!raw) {
-        driver.on_peer_closed();
-        break;
-      }
-      driver.on_frame(*raw);
-    }
-  } catch (const std::invalid_argument& e) {
-    driver.fail_protocol(e.what());
-  } catch (const std::exception& e) {
-    driver.on_transport_error(e.what());
-  }
-  transport.close();
-  return driver.result();
 }
 
 }  // namespace wcp::serve

@@ -1,18 +1,16 @@
 // Server side of a `wcp-stream 1` connection.
 //
 // ConnectionDriver is the transport-agnostic frame-at-a-time state machine:
-// feed it complete raw frames as they arrive and it pushes the session's
-// responses back through the transport, classifying the three ways a
-// connection ends — clean FINISH, protocol violation (an ERROR frame is
-// sent so a misbehaving client learns exactly which frame broke the stream
-// instead of seeing a silent hangup), and transport failure (the peer is
-// gone; nothing can be sent). Both connection hosts are built on it:
-//
-//   - serve_connection(): the blocking loop (one thread per connection) —
-//     receive(block=true), feed, repeat. Used by tests and simple embeds.
-//   - EventLoopServer (serve/event_loop.h): the epoll reactor feeds each
-//     connection's driver only when its socket is readable, multiplexing
-//     thousands of connections on a few loop threads.
+// its host feeds it complete raw frames as they arrive, ends each batch
+// with end_batch() (one cumulative ACK per batch, see session.h), and the
+// driver pushes the session's responses into the transport, classifying
+// the three ways a connection ends — clean FINISH, protocol violation (an
+// ERROR frame is sent so a misbehaving client learns exactly which frame
+// broke the stream instead of seeing a silent hangup), and transport
+// failure (the peer is gone; nothing can be sent). Its one host is
+// EventLoopServer (serve/event_loop.h): the epoll reactor drives each
+// connection's driver only when its socket is ready, multiplexing
+// thousands of connections on a few loop threads.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +40,10 @@ class ConnectionDriver {
   /// Transport errors raised while emitting responses (std::runtime_error
   /// from Transport::send) propagate; route them to on_transport_error().
   bool on_frame(std::span<const std::uint8_t> bytes);
+  /// Ends the batch of frames fed since the last call: the session ACKs
+  /// them all at once. No-op once done. Transport errors propagate as in
+  /// on_frame().
+  void end_batch();
 
   /// Peer EOF before FINISH: finalizes (clean only if the session had
   /// already finished).
@@ -66,12 +68,5 @@ class ConnectionDriver {
   ConnectionResult result_;
   bool done_ = false;
 };
-
-/// Serves one connection to completion on the calling thread. Blocks until
-/// the client finishes (FINISH applied), the transport closes, or a
-/// protocol violation occurs. Never throws for per-connection failures —
-/// they are reported in the result.
-ConnectionResult serve_connection(Transport& transport,
-                                  const ServeOptions& opts);
 
 }  // namespace wcp::serve

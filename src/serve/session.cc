@@ -27,9 +27,7 @@ void Session::violation(const std::string& why, std::uint64_t seq) {
 void Session::emit(const Frame& f) { out_(encode_frame(f, out_seq_++)); }
 
 void Session::on_frame(std::span<const std::uint8_t> bytes) {
-  // Counted up front so the STATS frame emitted by a FINISH in this very
-  // call already includes the ack that will answer it below.
-  ++stats_.acks_sent;
+  ack_owed_ = true;  // duplicates too: their ACK is what stops a resend loop
   const FrameHeader h = peek_header(bytes);
   if (h.seq < next_seq_ || pending_.count(h.seq) != 0) {
     ++stats_.duplicates;  // already applied or already stashed
@@ -44,21 +42,30 @@ void Session::on_frame(std::span<const std::uint8_t> bytes) {
       violation(os.str(), h.seq);
     }
   } else {
-    apply(decode_frame(bytes, hello_seen_ ? std::uint32_t(buffer_->slots())
-                                          : 0));
-    ++next_seq_;
+    apply_next(bytes);
     // Drain every stashed successor that is now in order.
-    auto it = pending_.find(next_seq_);
-    while (it != pending_.end()) {
-      apply(decode_frame(it->second, hello_seen_
-                                         ? std::uint32_t(buffer_->slots())
-                                         : 0));
+    for (auto it = pending_.find(next_seq_); it != pending_.end();
+         it = pending_.find(next_seq_)) {
+      apply_next(it->second);
       pending_.erase(it);
-      ++next_seq_;
-      it = pending_.find(next_seq_);
     }
   }
-  emit(make_ack(next_seq_));
+}
+
+void Session::end_batch() {
+  if (ack_owed_ && !finished_) send_ack(next_seq_);
+}
+
+void Session::send_ack(std::uint64_t next_seq) {
+  ack_owed_ = false;
+  ++stats_.acks_sent;
+  emit(make_ack(next_seq));
+}
+
+void Session::apply_next(std::span<const std::uint8_t> bytes) {
+  apply(decode_frame(bytes,
+                     hello_seen_ ? std::uint32_t(buffer_->slots()) : 0));
+  ++next_seq_;
 }
 
 void Session::apply(const Frame& f) {
@@ -225,9 +232,11 @@ void Session::apply_finish(std::uint64_t seq) {
   for (const Subscription& sub : subs_)
     WCP_CHECK_MSG(sub.core->done(),
                   "subscription " << sub.id << " undecided after eos-all");
-  (void)seq;
   sample_checker_bytes();
   stats_.store_peak_bytes = buffer_->peak_bytes();
+  // FINISH ends its batch itself: the ACK (covering the FINISH) goes out
+  // before STATS, so STATS counts it.
+  send_ack(seq + 1);
   finished_ = true;
   emit(make_stats(stats_));
 }

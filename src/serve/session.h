@@ -7,9 +7,12 @@
 //   1. Resequencer — frames carry per-connection sequence numbers; the
 //      session applies them strictly in order, stashing out-of-order
 //      arrivals (bounded by ServeOptions::reseq_window — the backpressure
-//      bound) and discarding duplicates. Every processed frame is answered
-//      with a cumulative ACK, so the client can drop its retransmission
-//      buffer and detect losses.
+//      bound) and discarding duplicates. The host feeds every frame it
+//      drained in one go and then calls end_batch(), which answers the
+//      whole batch with one cumulative ACK — even a batch of duplicates
+//      only, so a client that resends after a lost ACK still learns where
+//      the stream stands. FINISH answers its own batch: the ACK goes out
+//      just before STATS, and STATS counts it.
 //
 //   2. Subscriptions — HELLO declares slots and a predicate count;
 //      SUBSCRIBE attaches one detection core (token, centralized,
@@ -28,7 +31,7 @@
 //      ALGORITHMS.md §14 for the safety argument.
 //
 // Any protocol violation throws std::invalid_argument with the
-// "wcp-stream parse error:" prefix; the connection loop (server.h) turns
+// "wcp-stream parse error:" prefix; the connection driver (server.h) turns
 // it into an ERROR frame and closes the connection.
 #pragma once
 
@@ -63,10 +66,15 @@ class Session {
   Session(ServeOptions opts, Output out);
   ~Session();
 
-  /// Feed one complete raw frame (length prefix included). May emit any
-  /// number of output frames. Throws std::invalid_argument on malformed or
+  /// Feed one complete raw frame (length prefix included). May emit
+  /// VERDICT frames, and ACK + STATS once FINISH is applied; other ACKs
+  /// wait for end_batch(). Throws std::invalid_argument on malformed or
   /// out-of-protocol input.
   void on_frame(std::span<const std::uint8_t> bytes);
+  /// Ends a batch of on_frame() calls: emits one cumulative ACK of every
+  /// frame fed since the last one. No-op when nothing was fed or once
+  /// finished.
+  void end_batch();
 
   /// FINISH processed: stats emitted, no further frames expected.
   [[nodiscard]] bool finished() const { return finished_; }
@@ -86,6 +94,8 @@ class Session {
     bool reported = false;
   };
 
+  void send_ack(std::uint64_t next_seq);
+  void apply_next(std::span<const std::uint8_t> bytes);
   void apply(const Frame& f);
   void apply_hello(const HelloBody& h, std::uint64_t seq);
   void apply_subscribe(const SubscribeBody& b, std::uint64_t seq);
@@ -110,6 +120,7 @@ class Session {
   std::uint64_t next_seq_ = 0;
   std::map<std::uint64_t, std::vector<std::uint8_t>> pending_;
   std::uint64_t out_seq_ = 0;
+  bool ack_owed_ = false;  // frames fed since the last ACK
 
   // Stream state (established by HELLO).
   bool hello_seen_ = false;

@@ -50,7 +50,7 @@ void TcpTransport::send(std::vector<std::uint8_t> frame) {
   } else {
     out_.insert(out_.end(), frame.begin(), frame.end());
   }
-  flush();
+  if (!nonblocking_) flush();
 }
 
 bool TcpTransport::flush() {

@@ -1,12 +1,14 @@
 // TCP backend for the `wcp-stream 1` transport abstraction.
 //
-// A TcpTransport wraps one connected socket. send() queues a frame's bytes
-// and pushes as much as the kernel will take; in blocking mode that is the
-// whole frame, in nonblocking mode the unaccepted tail stays in an internal
-// write buffer that flush() (or the next send) drains. A socket error on
-// the send path is surfaced as std::runtime_error — a frame is delivered
-// whole or the caller learns why it was not; it is never silently
-// truncated, which would desync the peer's frame assembler. receive()
+// A TcpTransport wraps one connected socket. In blocking mode send()
+// writes the whole frame before it returns. In nonblocking mode send()
+// only appends the frame to an internal write buffer, and the owner
+// flushes: the event loop calls flush() once per wakeup, so every frame a
+// wakeup produced leaves in one send(2), and whatever the kernel does not
+// take stays buffered for the next flush. A socket error on the send path
+// is surfaced as std::runtime_error — a frame is delivered whole or the
+// caller learns why it was not; it is never silently truncated, which
+// would desync the peer's frame assembler. receive()
 // reassembles frames from the byte stream with a FrameAssembler (TCP has
 // no message boundaries).
 //
@@ -39,10 +41,9 @@ class TcpTransport final : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  /// Queues the frame and flushes as much as the kernel accepts. Blocking
-  /// sockets return with the frame fully written. Nonblocking sockets may
-  /// leave a tail in the write buffer (pending_out() > 0) — the frame is
-  /// still delivered whole once flush() drains it. Throws
+  /// Blocking sockets return with the frame fully written. Nonblocking
+  /// sockets only append it to the write buffer (pending_out() grows by
+  /// its size); nothing reaches the peer until flush(). Throws
   /// std::runtime_error on a socket error (including send on a transport
   /// whose peer is already gone); no partial frame is ever dropped
   /// silently.
@@ -51,8 +52,8 @@ class TcpTransport final : public Transport {
   [[nodiscard]] bool closed() const override;
   void close() override;
 
-  /// Switches the socket to O_NONBLOCK: send() buffers what the kernel
-  /// rejects and receive() never blocks regardless of its `block` flag.
+  /// Switches the socket to O_NONBLOCK: send() buffers until flush() and
+  /// receive() never blocks regardless of its `block` flag.
   void set_nonblocking();
   [[nodiscard]] bool nonblocking() const { return nonblocking_; }
   /// The underlying fd (for epoll registration); -1 once closed.
@@ -63,7 +64,7 @@ class TcpTransport final : public Transport {
   /// and call again when writable). Throws std::runtime_error on a socket
   /// error; the buffer is discarded then, since the stream is dead.
   bool flush();
-  /// Bytes queued but not yet accepted by the kernel.
+  /// Bytes queued but not yet accepted by the kernel, flushed or not.
   [[nodiscard]] std::size_t pending_out() const {
     return out_.size() - out_off_;
   }

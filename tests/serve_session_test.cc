@@ -1,8 +1,9 @@
 // Session-level tests of the streaming service (src/serve/session.h):
 // protocol-state violations (each failing with the "wcp-stream parse
 // error:" prefix), multi-tenant predicate multiplexing over one shared
-// snapshot stream, and fault-tolerant delivery — a lossy, duplicating,
-// reordering pipe must yield verdicts identical to a clean run.
+// snapshot stream, one cumulative ACK per batch of frames, and
+// fault-tolerant delivery — a lossy, duplicating, reordering pipe must
+// yield verdicts identical to a clean run.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -60,16 +61,98 @@ TEST(ServeSession, HappyPathSingleSubscription) {
   ASSERT_EQ(s.session.verdicts().size(), 1u);
   EXPECT_TRUE(s.session.verdicts()[0].detected);
   EXPECT_EQ(s.session.verdicts()[0].cut, (std::vector<StateIndex>{1, 1}));
-  // Responses: one ack per frame + verdict + stats.
+  // Responses: the five frames form one batch, so the only ACK is the one
+  // FINISH sends for its batch; plus the verdict and the stats.
   int acks = 0, verdicts = 0, stats = 0;
   for (const Frame& f : s.out) {
     acks += f.type == FrameType::kAck;
     verdicts += f.type == FrameType::kVerdict;
     stats += f.type == FrameType::kStats;
   }
-  EXPECT_EQ(acks, 5);
+  EXPECT_EQ(acks, 1);
   EXPECT_EQ(verdicts, 1);
   EXPECT_EQ(stats, 1);
+}
+
+// ---- cumulative ACKs, one per batch -----------------------------------
+
+/// The ACK frames among a session's responses, in order.
+std::vector<std::uint64_t> acks_of(const std::vector<Frame>& out) {
+  std::vector<std::uint64_t> acks;
+  for (const Frame& f : out)
+    if (f.type == FrameType::kAck) acks.push_back(f.ack.next_seq);
+  return acks;
+}
+
+/// hello, subscribe, then one concurrent true state per slot.
+const std::vector<Frame> kTwoSlotStream = {
+    make_hello(2, 1),
+    make_subscribe(0, StreamAlgo::kChecker, 0),
+    make_snapshot(0, 1, {1, 0}),
+    make_snapshot(1, 1, {0, 1}),
+};
+
+TEST(ServeSession, InOrderBatchGetsOneCumulativeAck) {
+  DirectSession s;
+  for (const Frame& f : kTwoSlotStream) s.feed(f);
+  EXPECT_TRUE(acks_of(s.out).empty()) << "no ACK before the batch ends";
+  s.session.end_batch();
+  EXPECT_EQ(acks_of(s.out),
+            (std::vector<std::uint64_t>{kTwoSlotStream.size()}));
+  s.session.end_batch();  // nothing fed since: no second ACK
+  EXPECT_EQ(acks_of(s.out).size(), 1u);
+}
+
+TEST(ServeSession, DuplicateOnlyBatchIsStillAcked) {
+  DirectSession s;
+  s.feed(kTwoSlotStream[0]);
+  s.feed(kTwoSlotStream[1]);
+  s.session.end_batch();
+  // The client missed that ACK and resends both frames: the batch applies
+  // nothing, but must be ACKed or the client resends forever.
+  s.session.on_frame(encode_frame(kTwoSlotStream[0], 0));
+  s.session.on_frame(encode_frame(kTwoSlotStream[1], 1));
+  s.session.end_batch();
+  EXPECT_EQ(acks_of(s.out), (std::vector<std::uint64_t>{2, 2}));
+  EXPECT_EQ(s.session.stats().duplicates, 2);
+}
+
+TEST(ServeSession, GapFillAcksPastReleasedSuccessors) {
+  DirectSession s;
+  for (const std::uint64_t seq : {0u, 2u, 3u})
+    s.session.on_frame(encode_frame(kTwoSlotStream[seq], seq));
+  s.session.end_batch();  // 2 and 3 stashed behind the gap at 1
+  s.session.on_frame(encode_frame(kTwoSlotStream[1], 1));
+  s.session.end_batch();  // 1 releases 2 and 3
+  EXPECT_EQ(acks_of(s.out), (std::vector<std::uint64_t>{1, 4}));
+  EXPECT_EQ(s.session.stats().resequenced, 2);
+  EXPECT_EQ(s.session.stats().snapshots_in, 2);
+}
+
+TEST(ServeSession, StatsCountEveryAckFrame) {
+  DirectSession s;
+  s.feed(kTwoSlotStream[0]);
+  s.session.end_batch();
+  s.feed(kTwoSlotStream[1]);
+  s.feed(kTwoSlotStream[2]);
+  s.session.end_batch();
+  s.session.on_frame(encode_frame(kTwoSlotStream[0], 0));  // duplicate
+  s.session.end_batch();
+  s.feed(kTwoSlotStream[3]);
+  s.feed(make_finish());
+  s.session.end_batch();  // finished: FINISH already ACKed its batch
+  ASSERT_TRUE(s.session.finished());
+  ASSERT_GE(s.out.size(), 2u);
+  // FINISH's batch ends with its ACK, then STATS, which counts that ACK.
+  EXPECT_EQ(s.out[s.out.size() - 2].type, FrameType::kAck);
+  EXPECT_EQ(s.out[s.out.size() - 2].ack.next_seq, 5u);
+  ASSERT_EQ(s.out.back().type, FrameType::kStats);
+  const std::vector<std::uint64_t> acks = acks_of(s.out);
+  EXPECT_EQ(acks, (std::vector<std::uint64_t>{1, 3, 3, 5}));
+  EXPECT_EQ(s.out.back().stats.stats.acks_sent,
+            static_cast<std::int64_t>(acks.size()));
+  EXPECT_EQ(s.session.stats().acks_sent,
+            static_cast<std::int64_t>(acks.size()));
 }
 
 TEST(ServeSession, MultiTenantPredicateBits) {

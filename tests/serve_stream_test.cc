@@ -2,7 +2,7 @@
 // client -> wire -> session path must produce, for every algorithm, exactly
 // the verdict of offline detection on the same trace — on random
 // computations and on every committed example trace. Also exercises the
-// real TCP loopback transport against an in-process server thread.
+// real TCP loopback transport against an in-process event-loop server.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "serve/replay.h"
-#include "serve/server.h"
+#include "serve/event_loop.h"
 #include "serve/tcp.h"
 #include "trace/trace_io.h"
 #include "trace/trace_store.h"
@@ -143,11 +143,16 @@ TEST(ServeStream, TcpLoopbackRoundTrip) {
     GTEST_SKIP() << "loopback bind unavailable: " << e.what();
   }
 
+  // One loop thread serving exactly one connection; the report hands the
+  // finished connection's result back to the test.
   ConnectionResult server_result;
-  std::thread server([&] {
-    const auto conn = listener->accept();
-    server_result = serve_connection(*conn, ServeOptions{});
-  });
+  EventLoopOptions loop_opts;
+  loop_opts.loop_threads = 1;
+  EventLoopServer loop(*listener, loop_opts,
+                       [&](std::int64_t, const ConnectionResult& result) {
+                         server_result = result;
+                       });
+  std::thread server([&] { loop.run(/*once=*/1); });
 
   workload::RandomSpec spec;
   spec.num_processes = 5;

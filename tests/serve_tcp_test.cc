@@ -5,8 +5,9 @@
 // desynced forever. These tests pin the fixed contract on real sockets
 // (AF_UNIX socketpairs, so no ports and no flakes): a frame is delivered
 // byte-identical and whole, or the sender gets an exception naming the
-// error — never a silent truncation. The EAGAIN path of nonblocking
-// sockets (the epoll event loop's mode) must buffer the tail, not drop it.
+// error — never a silent truncation. Nonblocking sockets (the epoll event
+// loop's mode) buffer every send until flush(), and the EAGAIN path of
+// flush() must keep the tail, not drop it.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -80,7 +81,8 @@ TEST(ServeTcp, NonblockingPartialWriteBuffersTheTail) {
   a.set_nonblocking();
 
   const std::vector<std::uint8_t> frame = big_frame(300'000);
-  a.send(frame);  // kernel takes a prefix; the tail must be buffered
+  a.send(frame);
+  EXPECT_FALSE(a.flush());  // the kernel takes a prefix; the tail waits
   EXPECT_GT(a.pending_out(), 0u);
   EXPECT_FALSE(a.closed());
 
@@ -106,12 +108,44 @@ TEST(ServeTcp, NonblockingPartialWriteBuffersTheTail) {
   EXPECT_EQ(*got, next);
 }
 
+TEST(ServeTcp, NonblockingSendsWaitForOneFlush) {
+  auto [a_fd, b_fd] = make_socketpair();
+  TcpTransport a(a_fd);
+  TcpTransport b(b_fd);
+  a.set_nonblocking();
+
+  // What one event-loop wakeup produces: a verdict, an ACK and stats.
+  const std::vector<std::vector<std::uint8_t>> frames = {
+      encode_frame(make_verdict(0, true, false, {1, 2}), 0),
+      encode_frame(make_ack(5), 1),
+      encode_frame(make_stats(ServeStats{}), 2),
+  };
+  std::size_t total = 0;
+  for (const auto& f : frames) {
+    a.send(f);
+    total += f.size();
+  }
+  // send() only buffers: every byte is pending, none is on the wire.
+  EXPECT_EQ(a.pending_out(), total);
+  EXPECT_FALSE(b.receive(/*block=*/false).has_value());
+
+  EXPECT_TRUE(a.flush());
+  EXPECT_EQ(a.pending_out(), 0u);
+  for (const auto& f : frames) {
+    const std::optional<std::vector<std::uint8_t>> got =
+        b.receive(/*block=*/true);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, f);  // whole and in order
+  }
+}
+
 TEST(ServeTcp, ErrorAfterPartialWriteSurfacesOnFlush) {
   auto [a_fd, b_fd] = make_socketpair(/*sndbuf=*/4096);
   TcpTransport a(a_fd);
   a.set_nonblocking();
 
   a.send(big_frame(300'000));
+  EXPECT_FALSE(a.flush());  // the kernel takes a prefix, the tail waits
   ASSERT_GT(a.pending_out(), 0u);
 
   ::close(b_fd);  // peer dies mid-frame
