@@ -13,10 +13,7 @@
 //   token_work          the token algorithm's total work on the same run
 //   blowup              lattice_cuts / token_work
 //
-// BM_Lattice_Parallel sweeps detect_lattice over thread counts on the
-// N=6, m=10 blowup point (the EXPERIMENTS.md E10 speedup row); the
-// parallel explorer returns bit-identical results, so only wall clock
-// moves. BM_Lattice_Sweep drives the detect/batch.h sweep runner.
+// BM_Lattice_Sweep drives the detect/batch.h sweep runner.
 #include "bench_common.h"
 #include "detect/batch.h"
 #include "detect/lattice.h"
@@ -95,47 +92,6 @@ BENCHMARK(BM_Lattice_Blowup)
     ->Args({4, 5})
     ->Args({4, 20})
     ->Args({4, 40});
-
-// Thread sweep on the biggest square blowup point (n=6, m=10: 10^6 cuts).
-// The results are identical across thread counts — the row's value is the
-// wall-clock column, the EXPERIMENTS.md E10 speedup-vs-threads row.
-void BM_Lattice_Parallel(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = 6;
-  const std::int64_t states = 10;
-  const auto comp = independent_workload(n, states);
-
-  detect::LatticeResult lat;
-  for (auto _ : state) {
-    lat = detect::detect_lattice(comp, /*max_cuts=*/50'000'000, threads);
-    benchmark::DoNotOptimize(lat.detected);
-  }
-
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["lattice_cuts"] = static_cast<double>(lat.cuts_explored);
-  state.counters["lattice_frontier"] = static_cast<double>(lat.max_frontier);
-  state.counters["peak_storage_bytes"] =
-      static_cast<double>(lat.storage.peak_bytes);
-
-  detect::ReportParams rp;
-  rp.N = static_cast<std::int64_t>(n);
-  rp.n = static_cast<std::int64_t>(n);
-  rp.m = states;
-  // storage is the one result block that varies with the thread count (the
-  // parallel explorer shards its arenas), so it stays out of the byte-diff
-  // gate and goes into the per-thread-count rows here.
-  report_run(state, "E10_lattice_par_t" + std::to_string(threads), rp,
-             {{"threads", static_cast<std::int64_t>(threads)},
-              {"lattice_cuts", lat.cuts_explored},
-              {"lattice_frontier", lat.max_frontier},
-              {"peak_storage_bytes", lat.storage.peak_bytes},
-              {"cuts_interned", lat.storage.cuts_interned},
-              {"table_probes", lat.storage.table_probes},
-              {"hot_allocs", lat.storage.heap_allocs}},
-             std::nullopt, std::nullopt);
-}
-BENCHMARK(BM_Lattice_Parallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Batch sweep runner (detect/batch.h): the whole one-trace × many-(algo,
 // seed) grid as one call, jobs fanned out across the pool.

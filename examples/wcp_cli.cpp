@@ -115,7 +115,6 @@ int usage() {
       "lattice|lattice-online|lattice-sliced|definitely|definitely-sliced|"
       "oracle]\n"
       "                   [--groups g] [--seed s] [--halt 0|1] [--json]\n"
-      "                   [--threads t]   t=0: WCP_THREADS env or hardware\n"
       "                   [--faults spec]   e.g. "
       "--faults drop=0.2,dup=0.05,seed=7,crash=m1@40+30\n"
       "                   [--verdict]   print only the canonical verdict "
@@ -129,6 +128,7 @@ int usage() {
       "  wcp_cli slice    <in.trace> [--max-cuts k] [--threads t] [--json]\n"
       "  wcp_cli sweep    <in.trace> [--algos a,b,..] [--seeds s1,s2,..]\n"
       "                   [--threads t] [--json]\n"
+      "                   t=0: WCP_THREADS env or hardware\n"
       "  wcp_cli info     <in.trace>\n"
       "  wcp_cli diagram  <in.trace> [--max-states k]\n"
       "  wcp_cli dot      <in.trace>\n";
@@ -323,17 +323,13 @@ int cmd_detect(const Args& a) {
       std::cout << "\n";
     };
     if (algo == "lattice") {
-      const auto threads =
-          static_cast<std::size_t>(flag_int(a, "threads", 0));
-      const auto r = detect::detect_lattice(comp, 10'000'000, threads);
+      const auto r = detect::detect_lattice(comp, 10'000'000);
       report_lattice(r.detected, r.cut, r.cuts_explored, r.max_frontier,
                      r.truncated,
                      static_cast<std::int64_t>(r.witness_path.size()),
                      r.trace_store);
     } else if (algo == "lattice-sliced") {
-      const auto threads =
-          static_cast<std::size_t>(flag_int(a, "threads", 0));
-      const auto r = detect::detect_lattice_sliced(comp, threads);
+      const auto r = detect::detect_lattice_sliced(comp);
       report_lattice(r.detected, r.cut, r.cuts_explored, r.max_frontier,
                      r.truncated,
                      static_cast<std::int64_t>(r.witness_path.size()),
@@ -346,11 +342,9 @@ int cmd_detect(const Args& a) {
     return 0;
   }
   if (algo == "definitely" || algo == "definitely-sliced") {
-    const auto threads = static_cast<std::size_t>(flag_int(a, "threads", 0));
-    const auto r =
-        algo == "definitely"
-            ? detect::detect_definitely(comp, 10'000'000, threads)
-            : detect::detect_definitely_sliced(comp, 10'000'000, threads);
+    const auto r = algo == "definitely"
+                       ? detect::detect_definitely(comp, 10'000'000)
+                       : detect::detect_definitely_sliced(comp, 10'000'000);
     if (as_json) {
       std::int64_t witness_level = 0;
       for (StateIndex k : r.witness) witness_level += k;

@@ -67,22 +67,21 @@ SweepRow run_one(const Computation& comp, const SweepJob& job) {
     return row;
   }
   if (job.algo == "lattice") {
-    const auto r = detect_lattice(comp, job.max_cuts, job.threads);
+    const auto r = detect_lattice(comp, job.max_cuts);
     lattice_row(r.detected, r.cut, r.cuts_explored, r.max_frontier,
                 r.truncated);
     return row;
   }
   if (job.algo == "lattice-sliced") {
-    const auto r = detect_lattice_sliced(comp, job.threads);
+    const auto r = detect_lattice_sliced(comp);
     lattice_row(r.detected, r.cut, r.cuts_explored, r.max_frontier,
                 r.truncated);
     return row;
   }
   if (job.algo == "definitely" || job.algo == "definitely-sliced") {
     const auto r = job.algo == "definitely"
-                       ? detect_definitely(comp, job.max_cuts, job.threads)
-                       : detect_definitely_sliced(comp, job.max_cuts,
-                                                  job.threads);
+                       ? detect_definitely(comp, job.max_cuts)
+                       : detect_definitely_sliced(comp, job.max_cuts);
     row.verdict = r.definitely;
     row.cut = r.witness;
     row.cost = r.cuts_explored;

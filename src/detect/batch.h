@@ -24,18 +24,13 @@ namespace wcp::detect {
 
 /// One sweep job: which detector to run and the run seed. The seed drives
 /// only simulator latency/pacing; offline detectors (lattice/sliced
-/// families, oracle) ignore it but still report it.
+/// families, oracle) ignore it but still report it. Each job runs on one
+/// thread: a sweep parallelizes across jobs, never inside one.
 struct SweepJob {
   std::string algo;
   std::uint64_t seed = 1;
   int groups = 2;                       ///< multi-token group count
   std::int64_t max_cuts = 10'000'000;   ///< lattice/definitely exploration cap
-  /// Inner thread count for the lattice-family detectors (1 = serial,
-  /// default: sweeps usually parallelize across jobs, not inside them).
-  /// Rows are byte-identical for every value — the concurrent engine's
-  /// serial replay guarantees it for lattice/definitely, and the sliced
-  /// detectors are inherently serial.
-  std::size_t threads = 1;
 };
 
 /// Outcome of one job, independent of sweep thread count.

@@ -11,28 +11,18 @@
 // The number of cuts explored can grow as O(m^n) — the cost that motivates
 // the paper's algorithms; bench E10 measures the blowup.
 //
-// Both detectors accept a `threads` parameter. threads == 1 (the default)
-// runs the reference serial BFS; threads > 1 runs the barrier-free
-// concurrent engine (ALGORITHMS.md §15): lanes pop cut handles from a
-// work-stealing frontier in arbitrary order, intern successors exactly
-// once through a lockless CAS-published hash table over per-lane arena
-// segments (incremental Zobrist hashing, O(1) per advance), and record
-// each cut's successor handles. A deterministic serial replay then walks
-// the recorded successor graph in exact serial BFS order, so verdict, cut,
-// cuts_explored, max_frontier, and witness_path are byte-identical to the
-// serial path at every thread count (tests/flat_storage_equiv_test.cc
-// byte-diffs full JSON reports at threads 1/2/4/8).
-// threads == 0 resolves to common::ThreadPool::default_threads()
-// (WCP_THREADS env var — which must be a positive integer — else
-// hardware_concurrency()).
+// Both detectors run one serial BFS: multi-lane exploration never reached
+// its 1.8x gate on 4 cores (ALGORITHMS.md §15), and slicing
+// (detect/sliced.h) is what beats the O(m^n) cost. The `threads` parameter is kept for
+// interface uniformity with the sliced detectors: results are identical
+// for every value, and threads == 0 still resolves
+// common::ThreadPool::default_threads(), so a malformed WCP_THREADS fails
+// closed.
 // Cut storage: both detectors keep every visited cut in flat arenas
 // (common/cut_storage.h) — packed 32-bit components, open-addressing
 // dedup tables with precomputed hashes, dense-handle parent vectors —
 // instead of per-cut heap-allocated std::vector<StateIndex> nodes. The
-// `storage` block of the results reports the measured footprint; it is
-// the one field that legitimately varies with the thread count (the
-// parallel path shards its arenas), so equivalence checks compare
-// everything *except* `storage`.
+// `storage` block of the results reports the measured footprint.
 #pragma once
 
 #include <cstdint>
@@ -57,15 +47,14 @@ struct LatticeResult {
   /// When detected: the BFS path from the bottom cut to `cut`, one advanced
   /// slot per step, rebuilt from the stored parent offsets (ltsmin-style) —
   /// the full predecessor cuts are never retained. Expand with
-  /// materialize_witness_path. Identical for every thread count.
+  /// materialize_witness_path.
   std::vector<std::uint32_t> witness_path;
   CutStorageStats storage;           // measured cut-storage footprint
-  TraceStoreStats trace_store;       // clock-store footprint (thread-invariant)
+  TraceStoreStats trace_store;       // clock-store footprint
 };
 
-/// Explores at most `max_cuts` consistent cuts (<0: unbounded). `threads`:
-/// 1 = serial reference BFS, 0 = ThreadPool::default_threads(), otherwise
-/// the level-parallel BFS on that many lanes (identical results).
+/// Explores at most `max_cuts` consistent cuts (<0: unbounded). `threads`
+/// is accepted and thread-invariant (see the header comment).
 LatticeResult detect_lattice(const Computation& comp,
                              std::int64_t max_cuts = -1,
                              std::size_t threads = 1);
@@ -88,10 +77,10 @@ struct DefinitelyResult {
   /// When definitely == false: the avoiding observation as advanced slots
   /// from the bottom cut to the top cut, rebuilt from stored BFS parent
   /// offsets (`witness` is the first cut on it that diverges past the
-  /// minimal satisfying cut). Identical for every thread count.
+  /// minimal satisfying cut).
   std::vector<std::uint32_t> witness_path;
   CutStorageStats storage;  ///< measured cut-storage footprint
-  TraceStoreStats trace_store;  ///< clock-store footprint (thread-invariant)
+  TraceStoreStats trace_store;  ///< clock-store footprint
 };
 
 DefinitelyResult detect_definitely(const Computation& comp,

@@ -32,12 +32,10 @@
 namespace wcp::detect {
 
 /// possibly(WCP) from the slice bottom; agrees with detect_lattice.
-/// `threads` exists for interface uniformity with detect_lattice (the CLI
-/// and sweep runner pass --threads through every detector): the JIL
+/// `threads` exists for interface uniformity with detect_lattice: the JIL
 /// fixpoint is inherently serial — a chain of dependent candidate
 /// eliminations — so the parameter only resolves 0 via default_threads()
-/// and the result is identical for every value, which the differential
-/// sweep in tests/flat_storage_equiv_test.cc asserts.
+/// and the result is identical for every value.
 LatticeResult detect_lattice_sliced(const Computation& comp,
                                     std::size_t threads = 1);
 

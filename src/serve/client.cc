@@ -62,24 +62,32 @@ void StreamClient::handle(const Frame& f) {
 
 bool StreamClient::pump(bool block) {
   bool progressed = false;
-  while (!outbox_.empty() && unacked_.size() < opts_.window) {
-    const std::uint64_t seq = acked_ + unacked_.size();
-    transport_.send(outbox_.front());
-    unacked_.emplace_back(seq, std::move(outbox_.front()));
-    outbox_.pop_front();
-    progressed = true;
-  }
-  while (std::optional<std::vector<std::uint8_t>> raw =
-             transport_.receive(/*block=*/false)) {
-    progressed = true;
-    handle(decode_frame(*raw));
-  }
-  if (!progressed && block && !done_) {
-    if (std::optional<std::vector<std::uint8_t>> raw =
-            transport_.receive(/*block=*/true)) {
-      progressed = true;
+  // Run send and receive rounds to a fixed point: ACKs drained in one round
+  // open the window for the frames the next round sends. Stopping after
+  // one round would strand those frames in the outbox, and a caller that
+  // pumps once per readable wakeup would never be woken to send them.
+  for (bool moved = true; moved;) {
+    moved = false;
+    while (!outbox_.empty() && unacked_.size() < opts_.window) {
+      const std::uint64_t seq = acked_ + unacked_.size();
+      transport_.send(outbox_.front());
+      unacked_.emplace_back(seq, std::move(outbox_.front()));
+      outbox_.pop_front();
+      moved = true;
+    }
+    while (std::optional<std::vector<std::uint8_t>> raw =
+               transport_.receive(/*block=*/false)) {
+      moved = true;
       handle(decode_frame(*raw));
     }
+    if (!moved && !progressed && block && !done_) {
+      if (std::optional<std::vector<std::uint8_t>> raw =
+              transport_.receive(/*block=*/true)) {
+        moved = true;
+        handle(decode_frame(*raw));
+      }
+    }
+    progressed |= moved;
   }
   return progressed;
 }

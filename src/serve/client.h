@@ -41,10 +41,12 @@ class StreamClient {
   void eos(std::uint32_t slot = kAllSlots);
   void finish();
 
-  /// Sends what the window allows and drains server frames. Returns true
-  /// if anything moved (a frame sent or received). With `block`, waits for
-  /// one server frame when nothing else can progress (reliable transports
-  /// only — a pipe's receive never blocks).
+  /// Sends what the window allows and drains server frames, repeating
+  /// until a round moves nothing (ACKs read in one round open the window
+  /// for the next). Returns true if anything moved (a frame sent or
+  /// received). With `block`, waits for one server frame when nothing else
+  /// can progress (reliable transports only — a pipe's receive never
+  /// blocks).
   bool pump(bool block = false);
   /// Resends every unacked frame (call after a stalled pump round).
   void retransmit();

@@ -18,7 +18,6 @@
 #include "clock/dependence.h"
 #include "clock/vector_clock.h"
 #include "common/error.h"
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/types.h"

@@ -41,7 +41,9 @@ void expect_all_agree(const Computation& comp, std::uint64_t seed,
 
   const auto token = run_token_vc(comp, opts(seed));
   EXPECT_EQ(token.detected, oracle.has_value()) << label << " [token-vc]";
-  if (oracle) EXPECT_EQ(token.cut, *oracle) << label << " [token-vc]";
+  if (oracle) {
+    EXPECT_EQ(token.cut, *oracle) << label << " [token-vc]";
+  }
 
   for (int g : {2, 3}) {
     MultiTokenOptions mt;
@@ -49,8 +51,9 @@ void expect_all_agree(const Computation& comp, std::uint64_t seed,
     const auto multi = run_multi_token(comp, opts(seed), mt);
     EXPECT_EQ(multi.detected, oracle.has_value())
         << label << " [multi-token g=" << g << "]";
-    if (oracle)
+    if (oracle) {
       EXPECT_EQ(multi.cut, *oracle) << label << " [multi-token g=" << g << "]";
+    }
   }
 
   for (bool parallel : {false, true}) {
@@ -69,12 +72,16 @@ void expect_all_agree(const Computation& comp, std::uint64_t seed,
 
   const auto checker = run_centralized(comp, opts(seed));
   EXPECT_EQ(checker.detected, oracle.has_value()) << label << " [checker]";
-  if (oracle) EXPECT_EQ(checker.cut, *oracle) << label << " [checker]";
+  if (oracle) {
+    EXPECT_EQ(checker.cut, *oracle) << label << " [checker]";
+  }
 
   const auto lattice = detect_lattice(comp, /*max_cuts=*/2'000'000);
   ASSERT_FALSE(lattice.truncated) << label;
   EXPECT_EQ(lattice.detected, oracle.has_value()) << label << " [lattice]";
-  if (oracle) EXPECT_EQ(lattice.cut, *oracle) << label << " [lattice]";
+  if (oracle) {
+    EXPECT_EQ(lattice.cut, *oracle) << label << " [lattice]";
+  }
 }
 
 struct SweepCase {

@@ -44,13 +44,17 @@ TEST_P(ChaosSweep, AllDetectorsSurvive) {
     const auto token = run_token_vc(comp, o);
     ASSERT_EQ(token.detected, oracle.has_value())
         << cc.name << " seed " << seed;
-    if (oracle) EXPECT_EQ(token.cut, *oracle) << cc.name << " seed " << seed;
+    if (oracle) {
+      EXPECT_EQ(token.cut, *oracle) << cc.name << " seed " << seed;
+    }
 
     MultiTokenOptions mt;
     mt.num_groups = 2;
     const auto multi = run_multi_token(comp, o, mt);
     EXPECT_EQ(multi.detected, oracle.has_value()) << cc.name;
-    if (oracle) EXPECT_EQ(multi.cut, *oracle) << cc.name;
+    if (oracle) {
+      EXPECT_EQ(multi.cut, *oracle) << cc.name;
+    }
 
     for (bool parallel : {false, true}) {
       DdRunOptions dd;
@@ -58,14 +62,17 @@ TEST_P(ChaosSweep, AllDetectorsSurvive) {
       const auto direct = run_direct_dep(comp, o, dd);
       EXPECT_EQ(direct.detected, oracle.has_value())
           << cc.name << " parallel=" << parallel;
-      if (oracle)
+      if (oracle) {
         EXPECT_EQ(direct.full_cut, *oracle_full)
             << cc.name << " parallel=" << parallel;
+      }
     }
 
     const auto checker = run_centralized(comp, o);
     EXPECT_EQ(checker.detected, oracle.has_value()) << cc.name;
-    if (oracle) EXPECT_EQ(checker.cut, *oracle) << cc.name;
+    if (oracle) {
+      EXPECT_EQ(checker.cut, *oracle) << cc.name;
+    }
   }
 }
 
@@ -198,7 +205,9 @@ TEST(Chaos, LatencySeedNeverChangesTheAnswer) {
     o.latency = sim::LatencyModel::bimodal(1, 0.15, 120);
     const auto r = run_token_vc(comp, o);
     ASSERT_EQ(r.detected, oracle.has_value()) << "netseed " << netseed;
-    if (oracle) EXPECT_EQ(r.cut, *oracle) << "netseed " << netseed;
+    if (oracle) {
+      EXPECT_EQ(r.cut, *oracle) << "netseed " << netseed;
+    }
   }
 }
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "common/logging.h"
 #include "common/types.h"
 
 namespace wcp {
@@ -66,29 +65,6 @@ TEST(ErrorMacros, RequireThrowsInvalidArgument) {
 TEST(ErrorMacros, PassingConditionsAreSilent) {
   EXPECT_NO_THROW(WCP_CHECK(true));
   EXPECT_NO_THROW(WCP_REQUIRE(true, "never shown"));
-}
-
-TEST(Logger, LevelsGateOutput) {
-  auto& log = Logger::instance();
-  const LogLevel old = log.level();
-  log.set_level(LogLevel::kOff);
-  EXPECT_FALSE(log.enabled(LogLevel::kInfo));
-  log.set_level(LogLevel::kDebug);
-  EXPECT_TRUE(log.enabled(LogLevel::kInfo));
-  EXPECT_TRUE(log.enabled(LogLevel::kDebug));
-  EXPECT_FALSE(log.enabled(LogLevel::kTrace));
-  log.set_level(old);
-}
-
-TEST(Logger, MacroCompilesAndRespectsLevel) {
-  auto& log = Logger::instance();
-  const LogLevel old = log.level();
-  log.set_level(LogLevel::kOff);
-  int evaluations = 0;
-  // The stream expression must not be evaluated when the level is off.
-  WCP_INFO("side effect " << ++evaluations);
-  EXPECT_EQ(evaluations, 0);
-  log.set_level(old);
 }
 
 }  // namespace

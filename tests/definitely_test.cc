@@ -92,8 +92,12 @@ TEST(Definitely, ImpliesPossibly) {
     const auto pos = detect_lattice(c, 1'000'000);
     ASSERT_FALSE(def.truncated);
     ASSERT_FALSE(pos.truncated);
-    if (def.definitely) EXPECT_TRUE(pos.detected) << "seed " << seed;
-    if (!pos.detected) EXPECT_FALSE(def.definitely) << "seed " << seed;
+    if (def.definitely) {
+      EXPECT_TRUE(pos.detected) << "seed " << seed;
+    }
+    if (!pos.detected) {
+      EXPECT_FALSE(def.definitely) << "seed " << seed;
+    }
   }
 }
 

@@ -85,9 +85,10 @@ TEST_P(DirectDepModes, MatchesAllProcessOracleOnRandomRuns) {
     const auto r = run_direct_dep(comp, opts(seed + 1), dd());
     ASSERT_EQ(r.detected, expect.has_value())
         << "seed=" << seed << " parallel=" << GetParam();
-    if (expect)
+    if (expect) {
       EXPECT_EQ(r.full_cut, *expect)
           << "seed=" << seed << " parallel=" << GetParam();
+    }
   }
 }
 
@@ -105,7 +106,9 @@ TEST_P(DirectDepModes, ProjectionMatchesPredicateOracle) {
     const auto expect = comp.first_wcp_cut();
     const auto r = run_direct_dep(comp, opts(), dd());
     ASSERT_EQ(r.detected, expect.has_value()) << "seed " << seed;
-    if (expect) EXPECT_EQ(r.cut, *expect) << "seed " << seed;
+    if (expect) {
+      EXPECT_EQ(r.cut, *expect) << "seed " << seed;
+    }
   }
 }
 

@@ -101,7 +101,9 @@ TEST(EdgeCases, RandomUnsortedPredicateOrders) {
     const auto oracle = comp.first_wcp_cut();
     const auto tok = detect_token_vc_offline(comp);
     ASSERT_EQ(tok.detected, oracle.has_value()) << "seed " << seed;
-    if (oracle) EXPECT_EQ(tok.cut, *oracle) << "seed " << seed;
+    if (oracle) {
+      EXPECT_EQ(tok.cut, *oracle) << "seed " << seed;
+    }
     const auto online = run_token_vc(comp, opts(seed + 1));
     EXPECT_EQ(online.detected, tok.detected) << "seed " << seed;
     EXPECT_EQ(online.cut, tok.cut) << "seed " << seed;

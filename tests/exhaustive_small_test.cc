@@ -95,15 +95,21 @@ TEST(ExhaustiveSmall, AllDetectorsMatchOracleOnEveryTinyCase) {
 
       const auto lat = detect_lattice(comp);
       ASSERT_EQ(lat.detected, oracle.has_value()) << "case " << cases;
-      if (oracle) ASSERT_EQ(lat.cut, *oracle) << "case " << cases;
+      if (oracle) {
+        ASSERT_EQ(lat.cut, *oracle) << "case " << cases;
+      }
 
       const auto tok = detect_token_vc_offline(comp);
       ASSERT_EQ(tok.detected, oracle.has_value()) << "case " << cases;
-      if (oracle) ASSERT_EQ(tok.cut, *oracle) << "case " << cases;
+      if (oracle) {
+        ASSERT_EQ(tok.cut, *oracle) << "case " << cases;
+      }
 
       const auto dd = detect_direct_dep_offline(comp);
       ASSERT_EQ(dd.detected, oracle.has_value()) << "case " << cases;
-      if (oracle) ASSERT_EQ(dd.cut, *oracle) << "case " << cases;
+      if (oracle) {
+        ASSERT_EQ(dd.cut, *oracle) << "case " << cases;
+      }
     }
   }
   // Sanity on the universe size: both outcomes occur, in bulk.
@@ -135,15 +141,21 @@ TEST(ExhaustiveSmall, OnlineDetectorsMatchOnSampledTinyCases) {
       const auto tok = run_token_vc(comp, o);
       ASSERT_EQ(tok.detected, oracle.has_value())
           << "case " << cases << " bits " << bits;
-      if (oracle) ASSERT_EQ(tok.cut, *oracle) << "case " << cases;
+      if (oracle) {
+        ASSERT_EQ(tok.cut, *oracle) << "case " << cases;
+      }
 
       const auto dd = run_direct_dep(comp, o);
       ASSERT_EQ(dd.detected, oracle.has_value()) << "case " << cases;
-      if (oracle) ASSERT_EQ(dd.cut, *oracle) << "case " << cases;
+      if (oracle) {
+        ASSERT_EQ(dd.cut, *oracle) << "case " << cases;
+      }
 
       const auto chk = run_centralized(comp, o);
       ASSERT_EQ(chk.detected, oracle.has_value()) << "case " << cases;
-      if (oracle) ASSERT_EQ(chk.cut, *oracle) << "case " << cases;
+      if (oracle) {
+        ASSERT_EQ(chk.cut, *oracle) << "case " << cases;
+      }
     }
   }
   EXPECT_GT(cases, 400);

@@ -194,18 +194,16 @@ Computation random_comp(std::uint64_t seed, std::size_t N, std::size_t n,
   return workload::make_random(spec);
 }
 
-TEST(FlatStorageEquiv, LatticeMatchesReferenceAcrossThreads) {
+TEST(FlatStorageEquiv, LatticeMatchesReference) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const auto comp = random_comp(seed, 5, 4, 12);
     const auto ref = ref_detect_lattice(comp, -1);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      const auto r = detect_lattice(comp, -1, threads);
-      EXPECT_EQ(r.detected, ref.detected) << "seed " << seed;
-      EXPECT_EQ(r.cut, ref.cut) << "seed " << seed;
-      EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << "seed " << seed;
-      EXPECT_EQ(r.max_frontier, ref.max_frontier) << "seed " << seed;
-      EXPECT_EQ(r.truncated, ref.truncated) << "seed " << seed;
-    }
+    const auto r = detect_lattice(comp, -1);
+    EXPECT_EQ(r.detected, ref.detected) << "seed " << seed;
+    EXPECT_EQ(r.cut, ref.cut) << "seed " << seed;
+    EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << "seed " << seed;
+    EXPECT_EQ(r.max_frontier, ref.max_frontier) << "seed " << seed;
+    EXPECT_EQ(r.truncated, ref.truncated) << "seed " << seed;
   }
 }
 
@@ -214,29 +212,25 @@ TEST(FlatStorageEquiv, LatticeMatchesReferenceUnderTruncation) {
     const auto comp = random_comp(seed, 4, 4, 10, /*prob=*/0.05);
     for (const std::int64_t cap : {1, 7, 50, 400}) {
       const auto ref = ref_detect_lattice(comp, cap);
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        const auto r = detect_lattice(comp, cap, threads);
-        EXPECT_EQ(r.detected, ref.detected) << seed << "/" << cap;
-        EXPECT_EQ(r.cut, ref.cut) << seed << "/" << cap;
-        EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << seed << "/" << cap;
-        EXPECT_EQ(r.max_frontier, ref.max_frontier) << seed << "/" << cap;
-        EXPECT_EQ(r.truncated, ref.truncated) << seed << "/" << cap;
-      }
+      const auto r = detect_lattice(comp, cap);
+      EXPECT_EQ(r.detected, ref.detected) << seed << "/" << cap;
+      EXPECT_EQ(r.cut, ref.cut) << seed << "/" << cap;
+      EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << seed << "/" << cap;
+      EXPECT_EQ(r.max_frontier, ref.max_frontier) << seed << "/" << cap;
+      EXPECT_EQ(r.truncated, ref.truncated) << seed << "/" << cap;
     }
   }
 }
 
-TEST(FlatStorageEquiv, DefinitelyMatchesReferenceAcrossThreads) {
+TEST(FlatStorageEquiv, DefinitelyMatchesReference) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const auto comp = random_comp(seed, 4, 3, 10, /*prob=*/0.4);
     const auto ref = ref_detect_definitely(comp, -1);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      const auto r = detect_definitely(comp, -1, threads);
-      EXPECT_EQ(r.definitely, ref.definitely) << "seed " << seed;
-      EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << "seed " << seed;
-      EXPECT_EQ(r.truncated, ref.truncated) << "seed " << seed;
-      EXPECT_EQ(r.witness, ref.witness) << "seed " << seed;
-    }
+    const auto r = detect_definitely(comp, -1);
+    EXPECT_EQ(r.definitely, ref.definitely) << "seed " << seed;
+    EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << "seed " << seed;
+    EXPECT_EQ(r.truncated, ref.truncated) << "seed " << seed;
+    EXPECT_EQ(r.witness, ref.witness) << "seed " << seed;
   }
 }
 
@@ -262,7 +256,9 @@ TEST(FlatStorageEquiv, GcpLatticeWithChannelsMatchesAdvanceDetector) {
     const auto oracle = detect_gcp_lattice(comp, channels, 2'000'000);
     const auto fast = detect_gcp(comp, channels);
     EXPECT_EQ(oracle.detected, fast.detected) << "seed " << seed;
-    if (oracle.detected) EXPECT_EQ(oracle.cut, fast.cut) << "seed " << seed;
+    if (oracle.detected) {
+      EXPECT_EQ(oracle.cut, fast.cut) << "seed " << seed;
+    }
   }
 }
 
@@ -274,10 +270,10 @@ TEST(FlatStorageEquiv, SliceAgreesWithReferenceLattice) {
       slice::SliceBuildCounters ctr;
       const auto s = slice::Slice::build(comp, &ctr, threads);
       EXPECT_EQ(!s.empty(), ref.detected) << "seed " << seed;
-      if (ref.detected)
+      if (ref.detected) {
         EXPECT_EQ(s.bottom(), ref.cut) << "seed " << seed;
-      // The interning order is serial for every thread count, so even the
-      // storage counters are thread-invariant (unlike the detectors').
+      }
+      // The interning order is serial for every thread count.
       EXPECT_GE(ctr.storage.cuts_interned, 0) << "seed " << seed;
     }
   }
@@ -321,16 +317,13 @@ TEST(FlatStorageEquiv, SliceEnumerationMatchesBruteForceSatisfyingCuts) {
   }
 }
 
-// ---- concurrent-engine differential oracle ----------------------------------
+// ---- sweep differential oracle ---------------------------------------------
 //
-// The barrier-free engine (ALGORITHMS.md §15) promises byte-identical
-// observable output at every thread count: the concurrent phase may visit
-// cuts in any order, but the serial replay reproduces the reference BFS
-// exactly. The sweep below drives lattice / definitely / sliced over 32
-// randomized traces — including truncation caps and witness-producing
-// traces — at threads 1/2/4/8 and byte-diffs the full JSON run reports
-// (which exclude the storage block, the one legitimately thread-variant
-// field) against the serial rows.
+// The sweep runner drives lattice / definitely / sliced over 32 randomized
+// traces — including truncation caps and witness-producing traces. Each
+// lattice and definitely row must agree with the reference implementations
+// above, and fanning the jobs out across a pool must leave every row's
+// full JSON report byte-identical to the one-thread sweep.
 
 TEST(FlatStorageEquiv, DifferentialOracleSweepByteIdenticalReports) {
   struct TraceSpec {
@@ -366,7 +359,6 @@ TEST(FlatStorageEquiv, DifferentialOracleSweepByteIdenticalReports) {
       j.algo = algo;
       j.seed = ts.seed;
       j.max_cuts = ts.max_cuts;
-      j.threads = 1;
       jobs.push_back(std::move(j));
     }
     const auto base = run_sweep(comp, jobs, /*threads=*/1);
@@ -378,23 +370,21 @@ TEST(FlatStorageEquiv, DifferentialOracleSweepByteIdenticalReports) {
       if (row.report.find("\"truncated\":1") != std::string::npos)
         saw_truncation = true;
     }
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-      auto tj = jobs;
-      for (SweepJob& j : tj) j.threads = threads;
-      const auto rows = run_sweep(comp, tj, /*threads=*/1);
-      ASSERT_EQ(rows.size(), base.size());
-      for (std::size_t k = 0; k < rows.size(); ++k) {
-        EXPECT_EQ(rows[k].verdict, base[k].verdict)
-            << algos[k] << " seed " << ts.seed << " threads " << threads;
-        EXPECT_EQ(rows[k].cut, base[k].cut)
-            << algos[k] << " seed " << ts.seed << " threads " << threads;
-        EXPECT_EQ(rows[k].cost, base[k].cost)
-            << algos[k] << " seed " << ts.seed << " threads " << threads;
-        EXPECT_EQ(rows[k].report, base[k].report)
-            << algos[k] << " seed " << ts.seed << " threads " << threads
-            << ": JSON report not byte-identical";
-      }
-    }
+    const auto lat = ref_detect_lattice(comp, ts.max_cuts);
+    EXPECT_EQ(base[0].verdict, lat.detected) << "seed " << ts.seed;
+    EXPECT_EQ(base[0].cut, lat.cut) << "seed " << ts.seed;
+    EXPECT_EQ(base[0].cost, lat.cuts_explored) << "seed " << ts.seed;
+    const auto def = ref_detect_definitely(comp, ts.max_cuts);
+    EXPECT_EQ(base[2].verdict, def.definitely) << "seed " << ts.seed;
+    EXPECT_EQ(base[2].cut, def.witness) << "seed " << ts.seed;
+    EXPECT_EQ(base[2].cost, def.cuts_explored) << "seed " << ts.seed;
+
+    const auto rows = run_sweep(comp, jobs, /*threads=*/4);
+    ASSERT_EQ(rows.size(), base.size());
+    for (std::size_t k = 0; k < rows.size(); ++k)
+      EXPECT_EQ(rows[k].report, base[k].report)
+          << algos[k] << " seed " << ts.seed
+          << ": JSON report not byte-identical";
   }
   // The spec mix must actually cover the interesting regimes.
   EXPECT_TRUE(saw_detection);
@@ -402,44 +392,57 @@ TEST(FlatStorageEquiv, DifferentialOracleSweepByteIdenticalReports) {
   EXPECT_TRUE(saw_truncation);
 }
 
-TEST(FlatStorageEquiv, WitnessPathsByteIdenticalAcrossThreads) {
-  // witness_path is not part of the sweep report; compare the full result
-  // structs directly (everything except the storage block).
+TEST(FlatStorageEquiv, WitnessPathsLeadFromBottomToResultCut) {
+  // witness_path is not part of the sweep report: expand it and check it
+  // is a one-slot-per-step path of consistent cuts ending at the detected
+  // cut (possibly) or at the top cut, through the witness (definitely).
+  const auto consistent = [](const Computation& comp, const Cut& c) {
+    const auto procs = comp.predicate_processes();
+    for (std::size_t s = 0; s < c.size(); ++s)
+      for (std::size_t t = 0; t < c.size(); ++t)
+        if (s != t && comp.happened_before(procs[s], c[s], procs[t], c[t]))
+          return false;
+    return true;
+  };
+  bool saw_lattice_path = false, saw_definitely_path = false;
   for (std::uint64_t seed = 50; seed < 62; ++seed) {
     const auto comp = random_comp(seed, 4, 4, 10, /*prob=*/0.3);
-    const auto bl = detect_lattice(comp, -1, 1);
-    const auto bd = detect_definitely(comp, -1, 1);
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-      const auto l = detect_lattice(comp, -1, threads);
-      EXPECT_EQ(l.detected, bl.detected) << seed << "/" << threads;
-      EXPECT_EQ(l.truncated, bl.truncated) << seed << "/" << threads;
-      EXPECT_EQ(l.cut, bl.cut) << seed << "/" << threads;
-      EXPECT_EQ(l.cuts_explored, bl.cuts_explored) << seed << "/" << threads;
-      EXPECT_EQ(l.max_frontier, bl.max_frontier) << seed << "/" << threads;
-      EXPECT_EQ(l.witness_path, bl.witness_path) << seed << "/" << threads;
-      const auto d = detect_definitely(comp, -1, threads);
-      EXPECT_EQ(d.definitely, bd.definitely) << seed << "/" << threads;
-      EXPECT_EQ(d.truncated, bd.truncated) << seed << "/" << threads;
-      EXPECT_EQ(d.cuts_explored, bd.cuts_explored) << seed << "/" << threads;
-      EXPECT_EQ(d.witness, bd.witness) << seed << "/" << threads;
-      EXPECT_EQ(d.witness_path, bd.witness_path) << seed << "/" << threads;
+    const std::size_t n = comp.predicate_processes().size();
+    const auto l = detect_lattice(comp, -1);
+    if (l.detected) {
+      const auto cuts = materialize_witness_path(n, l.witness_path);
+      EXPECT_EQ(cuts.back(), l.cut) << "seed " << seed;
+      for (const Cut& c : cuts) EXPECT_TRUE(consistent(comp, c)) << seed;
+      saw_lattice_path = true;
+    }
+    const auto d = detect_definitely(comp, -1);
+    if (!d.definitely && !d.truncated) {
+      const auto cuts = materialize_witness_path(n, d.witness_path);
+      Cut top(n);
+      for (std::size_t s = 0; s < n; ++s)
+        top[s] = comp.num_states(comp.predicate_processes()[s]);
+      EXPECT_EQ(cuts.back(), top) << "seed " << seed;
+      EXPECT_NE(std::find(cuts.begin(), cuts.end(), d.witness), cuts.end())
+          << "seed " << seed;
+      for (const Cut& c : cuts) EXPECT_TRUE(consistent(comp, c)) << seed;
+      saw_definitely_path = true;
     }
   }
+  EXPECT_TRUE(saw_lattice_path);
+  EXPECT_TRUE(saw_definitely_path);
 }
 
 TEST(FlatStorageEquiv, StorageStatsArePopulated) {
   const auto comp = random_comp(3, 4, 4, 10);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    const auto r = detect_lattice(comp, -1, threads);
-    EXPECT_GT(r.storage.peak_bytes, 0) << "threads " << threads;
-    EXPECT_GT(r.storage.cuts_interned, 0) << "threads " << threads;
-    EXPECT_GT(r.storage.table_probes, 0) << "threads " << threads;
-  }
-  // Serial interned count == distinct cuts == visited-set size, which for a
+  const auto r = detect_lattice(comp, -1);
+  EXPECT_GT(r.storage.peak_bytes, 0);
+  EXPECT_GT(r.storage.cuts_interned, 0);
+  EXPECT_GT(r.storage.table_probes, 0);
+  // Interned count == distinct cuts == visited-set size, which for a
   // completed exploration equals cuts explored.
-  const auto serial = detect_lattice(comp, -1, 1);
-  if (!serial.detected && !serial.truncated)
-    EXPECT_EQ(serial.storage.cuts_interned, serial.cuts_explored);
+  if (!r.detected && !r.truncated) {
+    EXPECT_EQ(r.storage.cuts_interned, r.cuts_explored);
+  }
 }
 
 }  // namespace

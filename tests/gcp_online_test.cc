@@ -73,7 +73,9 @@ TEST_P(GcpOnlineVsOffline, AgreeOnRandomRuns) {
   const auto offline = detect_gcp(c, channels);
   const auto online = run_gcp_centralized(c, channels, opts(seed + 1));
   ASSERT_EQ(online.detected, offline.detected) << "seed " << seed;
-  if (offline.detected) EXPECT_EQ(online.cut, offline.cut) << "seed " << seed;
+  if (offline.detected) {
+    EXPECT_EQ(online.cut, offline.cut) << "seed " << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcpOnlineVsOffline,
@@ -111,7 +113,9 @@ TEST(GcpOnline, MixedChannelKindsAgreeWithLatticeOracle) {
     const auto oracle = detect_gcp_lattice(c, channels, 500'000);
     const auto online = run_gcp_centralized(c, channels, opts(seed + 1));
     ASSERT_EQ(online.detected, oracle.detected) << "seed " << seed;
-    if (oracle.detected) EXPECT_EQ(online.cut, oracle.cut) << "seed " << seed;
+    if (oracle.detected) {
+      EXPECT_EQ(online.cut, oracle.cut) << "seed " << seed;
+    }
   }
 }
 

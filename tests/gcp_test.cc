@@ -146,7 +146,9 @@ TEST_P(GcpVsLattice, AdvanceCandidateMatchesLatticeOracle) {
   const auto fast = detect_gcp(c, channels);
   const auto oracle = detect_gcp_lattice(c, channels, /*max_cuts=*/500'000);
   ASSERT_EQ(fast.detected, oracle.detected) << "seed " << seed;
-  if (fast.detected) EXPECT_EQ(fast.cut, oracle.cut) << "seed " << seed;
+  if (fast.detected) {
+    EXPECT_EQ(fast.cut, oracle.cut) << "seed " << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcpVsLattice,
@@ -173,7 +175,9 @@ TEST_P(GcpAtMostVsLattice, MixedKindsMatchOracle) {
   const auto fast = detect_gcp(c, channels);
   const auto oracle = detect_gcp_lattice(c, channels, /*max_cuts=*/500'000);
   ASSERT_EQ(fast.detected, oracle.detected) << "seed " << seed;
-  if (fast.detected) EXPECT_EQ(fast.cut, oracle.cut) << "seed " << seed;
+  if (fast.detected) {
+    EXPECT_EQ(fast.cut, oracle.cut) << "seed " << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcpAtMostVsLattice,

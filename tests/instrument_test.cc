@@ -161,7 +161,9 @@ TEST(Instrument, LiveDetectionMatchesRecordedOracle) {
     const auto recorded = recorder->build();
     const auto oracle = recorded.first_wcp_cut();
     ASSERT_EQ(shared->detected, oracle.has_value()) << "seed " << seed;
-    if (oracle) EXPECT_EQ(shared->cut, *oracle) << "seed " << seed;
+    if (oracle) {
+      EXPECT_EQ(shared->cut, *oracle) << "seed " << seed;
+    }
   }
 }
 

@@ -43,9 +43,10 @@ void check_lemma_3_1(const Computation& comp, const VcToken& tok,
           << ") dominates nothing (Lemma 3.1.1)";
       // Part 4: no WCP cut contains (i, G[i]) — in particular the first cut
       // is strictly ahead of every red candidate.
-      if (first_cut)
+      if (first_cut) {
         EXPECT_LT(tok.G[i], (*first_cut)[i])
             << label << ": red slot " << i << " (Lemma 3.1.4)";
+      }
     } else {
       // Part 2: a green candidate happened before no other candidate.
       for (std::size_t k = 0; k < n; ++k) {
@@ -56,9 +57,10 @@ void check_lemma_3_1(const Computation& comp, const VcToken& tok,
             << " (Lemma 3.1.2)";
       }
       // The candidate cut never overshoots the first WCP cut.
-      if (first_cut)
+      if (first_cut) {
         EXPECT_LE(tok.G[i], (*first_cut)[i])
             << label << ": slot " << i << " overshot the first cut";
+      }
     }
   }
 

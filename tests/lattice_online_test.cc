@@ -84,7 +84,9 @@ TEST(LatticeOnline, AgreesWithTokenDetectorOnDomainWorkload) {
   const auto token = run_token_vc(mc.computation, opts());
   const auto lattice = run_lattice_online(mc.computation, opts());
   EXPECT_EQ(lattice.detected, token.detected);
-  if (token.detected) EXPECT_EQ(lattice.cut, token.cut);
+  if (token.detected) {
+    EXPECT_EQ(lattice.cut, token.cut);
+  }
 }
 
 TEST(LatticeOnline, TruncationCap) {

@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <sstream>
-#include <string>
+#include <cstdlib>
+#include <stdexcept>
 
-#include "common/json.h"
-#include "detect/report.h"
 #include "workload/random_workload.h"
 
 namespace wcp::detect {
@@ -36,7 +33,9 @@ TEST(Lattice, FindsTheMinimalWcpCut) {
     const auto expect = comp.first_wcp_cut();
     const auto r = detect_lattice(comp);
     ASSERT_EQ(r.detected, expect.has_value()) << "seed " << seed;
-    if (expect) EXPECT_EQ(r.cut, *expect) << "seed " << seed;
+    if (expect) {
+      EXPECT_EQ(r.cut, *expect) << "seed " << seed;
+    }
   }
 }
 
@@ -92,106 +91,6 @@ TEST(Lattice, FrontierTracked) {
   EXPECT_GE(r.max_frontier, 1);
 }
 
-// ---- parallel-vs-serial equivalence ----------------------------------------
-//
-// The level-parallel explorer must be indistinguishable from the serial
-// baseline for every thread count: same verdict, same cut, same counters —
-// down to the byte in the JSON run report.
-
-std::string lattice_record(const Computation& comp, const LatticeResult& r) {
-  std::ostringstream oss;
-  json::Writer w(oss, 0);
-  ReportParams rp;
-  rp.N = static_cast<std::int64_t>(comp.num_processes());
-  rp.n = static_cast<std::int64_t>(comp.predicate_processes().size());
-  rp.m = comp.max_messages_per_process();
-  write_run_report(w, "test:lattice", rp,
-                   {{"detected", r.detected ? 1 : 0},
-                    {"cuts_explored", r.cuts_explored},
-                    {"max_frontier", r.max_frontier},
-                    {"truncated", r.truncated ? 1 : 0}},
-                   std::nullopt, std::nullopt);
-  return oss.str();
-}
-
-TEST(Lattice, ParallelMatchesSerialOnRandomSweep) {
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    workload::RandomSpec spec;
-    spec.num_processes = 5;
-    spec.num_predicate = 4;
-    spec.events_per_process = 12;
-    spec.local_pred_prob = 0.3;
-    spec.seed = seed;
-    const auto comp = workload::make_random(spec);
-    const auto serial = detect_lattice(comp, /*max_cuts=*/-1, /*threads=*/1);
-    const std::string serial_rec = lattice_record(comp, serial);
-    for (std::size_t threads : {2u, 8u}) {
-      const auto par = detect_lattice(comp, /*max_cuts=*/-1, threads);
-      EXPECT_EQ(par.detected, serial.detected) << "seed " << seed;
-      EXPECT_EQ(par.cut, serial.cut) << "seed " << seed;
-      EXPECT_EQ(par.cuts_explored, serial.cuts_explored) << "seed " << seed;
-      EXPECT_EQ(par.max_frontier, serial.max_frontier) << "seed " << seed;
-      EXPECT_EQ(par.truncated, serial.truncated) << "seed " << seed;
-      EXPECT_EQ(lattice_record(comp, par), serial_rec) << "seed " << seed;
-    }
-  }
-}
-
-TEST(Lattice, ParallelMatchesSerialWhenNeverDetected) {
-  // Predicate never true on P1: full exploration, counters must replay the
-  // serial pop/push interleaving exactly.
-  ComputationBuilder b(3);
-  for (int k = 0; k < 4; ++k) b.send(ProcessId(0), ProcessId(1));
-  for (int k = 0; k < 3; ++k) b.send(ProcessId(2), ProcessId(0));
-  b.mark_pred(ProcessId(0), true);
-  b.mark_pred(ProcessId(2), true);
-  const auto comp = b.build();
-  const auto serial = detect_lattice(comp, -1, 1);
-  ASSERT_FALSE(serial.detected);
-  for (std::size_t threads : {2u, 8u}) {
-    const auto par = detect_lattice(comp, -1, threads);
-    EXPECT_FALSE(par.detected);
-    EXPECT_EQ(par.cuts_explored, serial.cuts_explored);
-    EXPECT_EQ(par.max_frontier, serial.max_frontier);
-  }
-}
-
-TEST(Lattice, ParallelMatchesSerialUnderTruncation) {
-  ComputationBuilder b(2);
-  for (int k = 0; k < 8; ++k) b.send(ProcessId(0), ProcessId(1));
-  const auto comp = b.build();  // predicate never true
-  for (std::int64_t cap : {1, 3, 5, 7}) {
-    const auto serial = detect_lattice(comp, cap, 1);
-    ASSERT_TRUE(serial.truncated);
-    for (std::size_t threads : {2u, 8u}) {
-      const auto par = detect_lattice(comp, cap, threads);
-      EXPECT_TRUE(par.truncated) << "cap " << cap;
-      EXPECT_EQ(par.cuts_explored, serial.cuts_explored) << "cap " << cap;
-      EXPECT_EQ(par.max_frontier, serial.max_frontier) << "cap " << cap;
-    }
-  }
-}
-
-TEST(Lattice, DefinitelyParallelMatchesSerialOnRandomSweep) {
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    workload::RandomSpec spec;
-    spec.num_processes = 4;
-    spec.num_predicate = 3;
-    spec.events_per_process = 10;
-    spec.local_pred_prob = 0.4;
-    spec.seed = seed;
-    const auto comp = workload::make_random(spec);
-    const auto serial = detect_definitely(comp, /*max_cuts=*/-1, /*threads=*/1);
-    for (std::size_t threads : {2u, 8u}) {
-      const auto par = detect_definitely(comp, /*max_cuts=*/-1, threads);
-      EXPECT_EQ(par.definitely, serial.definitely) << "seed " << seed;
-      EXPECT_EQ(par.cuts_explored, serial.cuts_explored) << "seed " << seed;
-      EXPECT_EQ(par.truncated, serial.truncated) << "seed " << seed;
-      EXPECT_EQ(par.witness, serial.witness) << "seed " << seed;
-    }
-  }
-}
-
 TEST(Lattice, ThreadsZeroResolvesToDefault) {
   ComputationBuilder b(2);
   b.mark_pred(ProcessId(0), true);
@@ -200,6 +99,22 @@ TEST(Lattice, ThreadsZeroResolvesToDefault) {
   const auto r = detect_lattice(comp, -1, /*threads=*/0);
   EXPECT_TRUE(r.detected);
   EXPECT_EQ(r.cut, (std::vector<StateIndex>{1, 1}));
+}
+
+TEST(Lattice, ThreadsZeroStillValidatesWcpThreads) {
+  // threads is accepted and thread-invariant, but 0 still resolves the
+  // process default: a malformed WCP_THREADS must fail closed, not be
+  // silently ignored.
+  ComputationBuilder b(2);
+  b.mark_pred(ProcessId(0), true);
+  b.mark_pred(ProcessId(1), true);
+  const auto comp = b.build();
+  ::setenv("WCP_THREADS", "O8", 1);
+  EXPECT_THROW(detect_lattice(comp, -1, /*threads=*/0), std::invalid_argument);
+  EXPECT_THROW(detect_definitely(comp, -1, /*threads=*/0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(detect_lattice(comp, -1, /*threads=*/1));
+  ::unsetenv("WCP_THREADS");
 }
 
 }  // namespace

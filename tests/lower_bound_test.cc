@@ -28,8 +28,9 @@ TEST(AdversaryGame, OnlyDeclaredSmallerHeadIsDeletable) {
   EXPECT_THROW(game.delete_heads({larger}), std::invalid_argument);
   // Deleting any third head is unjustified too.
   for (int q = 0; q < 3; ++q)
-    if (q != smaller && q != larger)
+    if (q != smaller && q != larger) {
       EXPECT_THROW(game.delete_heads({q}), std::invalid_argument);
+    }
   game.delete_heads({smaller});
   EXPECT_EQ(game.deletions(), 1);
 }
@@ -65,7 +66,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AdversaryGame, HistoryIsRealizableAsAPartialOrder) {
   // Invariant I7: the adversary's answers are consistent with an actual
   // poset on n chains — no declared-concurrent pair is secretly ordered.
-  for (const auto [n, m] :
+  for (const auto& [n, m] :
        {std::pair{2, std::int64_t{4}}, std::pair{3, std::int64_t{4}},
         std::pair{4, std::int64_t{3}}}) {
     AdversaryGame game(n, m);
@@ -81,7 +82,7 @@ TEST(AdversaryGame, HistoryIsRealizableAsAPartialOrder) {
 
 TEST(AdversaryGame, EmptyDeletionIsANoOpStep) {
   AdversaryGame game(2, 2);
-  game.compare_heads();
+  (void)game.compare_heads();  // a step whose answer is not acted on
   game.delete_heads({});
   EXPECT_EQ(game.deletions(), 0);
   EXPECT_EQ(game.steps(), 2);

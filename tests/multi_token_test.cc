@@ -32,7 +32,9 @@ TEST_P(MultiTokenGroups, MatchesOracleOnRandomRuns) {
     mt.num_groups = g;
     const auto r = run_multi_token(comp, opts(seed + 1), mt);
     ASSERT_EQ(r.detected, expect.has_value()) << "g=" << g << " seed=" << seed;
-    if (expect) EXPECT_EQ(r.cut, *expect) << "g=" << g << " seed=" << seed;
+    if (expect) {
+      EXPECT_EQ(r.cut, *expect) << "g=" << g << " seed=" << seed;
+    }
   }
 }
 

@@ -29,7 +29,9 @@ TEST(OfflineTokenVc, MatchesOracleAndOnlineRun) {
     const auto oracle = comp.first_wcp_cut();
     const auto off = detect_token_vc_offline(comp);
     ASSERT_EQ(off.detected, oracle.has_value()) << "seed " << seed;
-    if (oracle) EXPECT_EQ(off.cut, *oracle) << "seed " << seed;
+    if (oracle) {
+      EXPECT_EQ(off.cut, *oracle) << "seed " << seed;
+    }
 
     const auto on = run_token_vc(comp, opts(seed + 1));
     EXPECT_EQ(off.detected, on.detected) << "seed " << seed;
@@ -54,7 +56,9 @@ TEST(OfflineDirectDep, MatchesOracleAndOnlineRun) {
     const auto oracle = comp.first_wcp_cut_all_processes();
     const auto off = detect_direct_dep_offline(comp);
     ASSERT_EQ(off.detected, oracle.has_value()) << "seed " << seed;
-    if (oracle) EXPECT_EQ(off.full_cut, *oracle) << "seed " << seed;
+    if (oracle) {
+      EXPECT_EQ(off.full_cut, *oracle) << "seed " << seed;
+    }
 
     const auto on = run_direct_dep(comp, opts(seed + 1));
     EXPECT_EQ(off.detected, on.detected) << "seed " << seed;

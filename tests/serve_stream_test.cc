@@ -42,7 +42,9 @@ void expect_verdicts_match_oracle(const Computation& comp,
     EXPECT_EQ(v.detected, oracle.has_value())
         << "sub " << v.sub_id << " (" << to_string(kAllAlgos[v.sub_id])
         << ") disagrees with the oracle";
-    if (v.detected && oracle) EXPECT_EQ(v.cut, *oracle);
+    if (v.detected && oracle) {
+      EXPECT_EQ(v.cut, *oracle);
+    }
   }
 }
 
@@ -127,12 +129,56 @@ TEST(ServeStream, MultiplePredicatesOneStream) {
   for (const VerdictBody& v : r.verdicts) {
     if (v.sub_id == 0) {
       EXPECT_EQ(v.detected, oracle.has_value());
-      if (oracle) EXPECT_EQ(v.cut, *oracle);
+      if (oracle) {
+        EXPECT_EQ(v.cut, *oracle);
+      }
     } else {
       EXPECT_TRUE(v.detected);
       EXPECT_EQ(v.cut, ones);
     }
   }
+}
+
+TEST(ServeStream, WindowOneClientPumpingOncePerReplyReachesDone) {
+  // A poll(2)-driven client pumps once per readable wakeup. With window 1
+  // every frame waits for the ACK of the one before it, so the pump that
+  // reads an ACK must also send the frame that ACK released: the server
+  // has nothing left to answer, so no further wakeup would come.
+  workload::RandomSpec spec;
+  spec.num_processes = 4;
+  spec.num_predicate = 3;
+  spec.events_per_process = 8;
+  spec.seed = 7;
+  spec.ensure_detectable = true;
+  const auto comp = workload::make_random(spec);
+
+  ReplayOptions opts = all_algo_options();
+  opts.client.window = 1;
+  auto [client_end, server_end] = make_pipe();
+  std::int64_t replies = 0;
+  Session session(opts.serve, [&](std::vector<std::uint8_t> bytes) {
+    ++replies;
+    server_end->send(bytes);
+  });
+  StreamClient client(*client_end, opts.client);
+  enqueue_replay(client, comp, opts);
+
+  client.pump(/*block=*/false);  // the connection became writable
+  for (int wakeup = 0; !client.done(); ++wakeup) {
+    ASSERT_LT(wakeup, 100'000);
+    const std::int64_t before = replies;
+    while (std::optional<std::vector<std::uint8_t>> raw =
+               server_end->receive(/*block=*/false))
+      session.on_frame(*raw);
+    session.end_batch();
+    ASSERT_GT(replies, before)
+        << "client stalled after " << wakeup
+        << " wakeups: the server got nothing to answer";
+    client.pump(/*block=*/false);  // one readable wakeup per server reply
+  }
+  ReplayResult r;
+  r.verdicts = client.verdicts();
+  expect_verdicts_match_oracle(comp, r);
 }
 
 TEST(ServeStream, TcpLoopbackRoundTrip) {

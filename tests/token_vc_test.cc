@@ -71,7 +71,9 @@ TEST(TokenVc, MatchesOfflineOracleOnRandomRuns) {
     const auto expect = comp.first_wcp_cut();
     const auto r = run_token_vc(comp, opts(seed + 1));
     ASSERT_EQ(r.detected, expect.has_value()) << "seed " << seed;
-    if (expect) EXPECT_EQ(r.cut, *expect) << "seed " << seed;
+    if (expect) {
+      EXPECT_EQ(r.cut, *expect) << "seed " << seed;
+    }
   }
 }
 
