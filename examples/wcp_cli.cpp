@@ -1,18 +1,29 @@
 // wcp_cli — command-line front end for the library.
 //
-// Subcommands:
-//   generate <out.trace> [--N k] [--n k] [--events k] [--pred-prob p] [--seed s]
-//            [--binary]
+// Subcommands (usage() below lists every flag):
+//   generate <out.trace> [--N k] [--n k] [--events k] [--pred-prob p]
+//            [--seed s] [--detectable 0|1] [--binary]
 //       Generate a random computation and save it as a wcp-trace text file,
 //       or with --binary as a columnar wcp-tracebin file.
-//   detect <in.trace> [--algo token|multi|dd|dd-par|checker|lattice|oracle]
-//          [--groups g] [--seed s]
+//   detect <in.trace> [--algo token|multi|dd|dd-par|checker|lattice|
+//          lattice-online|lattice-sliced|definitely|definitely-sliced|oracle]
+//          [--groups g] [--seed s] [--halt 0|1] [--faults spec] [--json]
+//          [--verdict] [--trusted]
 //       Run one detector on a trace and print the result + cost metrics.
-//   info <in.trace>
-//       Print the trace's shape and the oracle's first WCP cut.
+//   stream <in.trace> [--algos ...] [--connect host:port] [--json]
+//       Replay the trace's snapshots through the streaming service, in
+//       process or to a wcp_served daemon, one verdict line per algorithm.
+//   slice <in.trace> [--max-cuts k] [--threads t] [--json]
+//       Build the slice and run the sliced possibly/definitely detectors.
+//   sweep <in.trace> [--algos a,b,..] [--seeds s1,s2,..] [--threads t]
+//       Run every (algorithm, seed) pair, fanned out over a thread pool.
+//   info | diagram | dot <in.trace>
+//       Print the trace's shape and first WCP cut, a space-time diagram, or
+//       a Graphviz rendering.
 //
 // Every command that reads a trace sniffs the magic bytes, so text and
-// binary files are interchangeable inputs.
+// binary files are interchangeable inputs. A malformed or out-of-range flag
+// value exits 2 with "wcp_cli: --<flag> ...".
 //
 // Example:
 //   $ wcp_cli generate /tmp/run.trace --N 8 --n 4 --events 30
@@ -20,11 +31,13 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 
+#include "common/flags.h"
 #include "common/json.h"
 #include "detect/batch.h"
 #include "serve/replay.h"
@@ -78,16 +91,34 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-std::int64_t flag_int(const Args& a, const std::string& key,
-                      std::int64_t def) {
+/// Accepted range of an integer flag; a value outside it exits 2.
+struct IntRange {
+  std::int64_t lo, hi;
+};
+constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+constexpr IntRange kThreads{0, 1024};  // as wcp_served --threads
+constexpr IntRange kPort{1, 65535};
+constexpr IntRange kSwitch{0, 1};
+constexpr IntRange kProcesses{1, 4096};
+constexpr IntRange kCount{0, kI64Max};
+constexpr IntRange kPositive{1, kI64Max};
+
+constexpr std::string_view kProgram = "wcp_cli";
+
+std::int64_t flag_int(const Args& a, const std::string& key, std::int64_t def,
+                      IntRange range) {
   auto it = a.flags.find(key);
-  return it == a.flags.end() ? def : std::strtoll(it->second.c_str(),
-                                                  nullptr, 10);
+  return it == a.flags.end()
+             ? def
+             : parse_flag_int(kProgram, key, it->second, range.lo, range.hi);
 }
 
-double flag_double(const Args& a, const std::string& key, double def) {
+/// Probability-valued flag, in [0, 1].
+double flag_prob(const Args& a, const std::string& key, double def) {
   auto it = a.flags.find(key);
-  return it == a.flags.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  return it == a.flags.end()
+             ? def
+             : parse_flag_double(kProgram, key, it->second, 0.0, 1.0);
 }
 
 std::string flag_str(const Args& a, const std::string& key,
@@ -161,12 +192,14 @@ void print_verdict_line(bool detected, const std::vector<StateIndex>& cut) {
 int cmd_generate(const Args& a) {
   if (a.positional.size() < 2) return usage();
   workload::RandomSpec spec;
-  spec.num_processes = static_cast<std::size_t>(flag_int(a, "N", 8));
-  spec.num_predicate = static_cast<std::size_t>(flag_int(a, "n", 4));
-  spec.events_per_process = flag_int(a, "events", 20);
-  spec.local_pred_prob = flag_double(a, "pred-prob", 0.3);
-  spec.ensure_detectable = flag_int(a, "detectable", 0) != 0;
-  spec.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 42));
+  spec.num_processes =
+      static_cast<std::size_t>(flag_int(a, "N", 8, kProcesses));
+  spec.num_predicate =
+      static_cast<std::size_t>(flag_int(a, "n", 4, kProcesses));
+  spec.events_per_process = flag_int(a, "events", 20, kCount);
+  spec.local_pred_prob = flag_prob(a, "pred-prob", 0.3);
+  spec.ensure_detectable = flag_int(a, "detectable", 0, kSwitch) != 0;
+  spec.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 42, kCount));
   const auto comp = workload::make_random(spec);
   if (a.flags.contains("binary")) {
     save_tracebin_file(a.positional[1], comp);
@@ -202,7 +235,7 @@ int cmd_diagram(const Args& a) {
   if (a.positional.size() < 2) return usage();
   const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   DiagramOptions opts;
-  opts.max_states = flag_int(a, "max-states", 0);
+  opts.max_states = flag_int(a, "max-states", 0, kCount);
   opts.message_table = true;
   if (const auto cut = comp.first_wcp_cut()) {
     opts.cut_procs.assign(comp.predicate_processes().begin(),
@@ -243,9 +276,9 @@ int cmd_detect(const Args& a) {
   const bool as_json = a.flags.contains("json");
 
   detect::RunOptions opts;
-  opts.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 1));
+  opts.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 1, kCount));
   opts.latency = sim::LatencyModel::uniform(1, 6);
-  opts.halt_on_detect = flag_int(a, "halt", 0) != 0;
+  opts.halt_on_detect = flag_int(a, "halt", 0, kSwitch) != 0;
   const std::string fault_spec = flag_str(a, "faults", "");
   if (!fault_spec.empty()) opts.faults = sim::FaultPlan::parse(fault_spec);
   detect::ReportParams rp = report_params(comp, opts.seed);
@@ -386,7 +419,7 @@ int cmd_detect(const Args& a) {
     bound = nd * nd * md;
   } else if (algo == "multi") {
     detect::MultiTokenOptions mt;
-    mt.num_groups = static_cast<int>(flag_int(a, "groups", 2));
+    mt.num_groups = static_cast<int>(flag_int(a, "groups", 2, kProcesses));
     r = detect::run_multi_token(comp, opts, mt);
     bound = nd * nd * md;
   } else if (algo == "dd" || algo == "dd-par") {
@@ -436,12 +469,14 @@ int cmd_stream(const Args& a) {
   const bool as_json = a.flags.contains("json");
 
   serve::ReplayOptions opts;
-  opts.serve.gc_every = static_cast<std::size_t>(flag_int(a, "gc-every", 64));
-  opts.client.window = static_cast<std::size_t>(flag_int(a, "window", 64));
+  opts.serve.gc_every =
+      static_cast<std::size_t>(flag_int(a, "gc-every", 64, kCount));
+  opts.client.window =
+      static_cast<std::size_t>(flag_int(a, "window", 64, kPositive));
   const std::string fault_spec = flag_str(a, "faults", "");
   if (!fault_spec.empty())
     opts.faults.plan = sim::FaultPlan::parse(fault_spec);
-  opts.faults.reorder = flag_double(a, "reorder", 0.0);
+  opts.faults.reorder = flag_prob(a, "reorder", 0.0);
 
   std::vector<std::string> algos = split_list(
       flag_str(a, "algos", "token,checker,lattice-online,slicer"));
@@ -459,8 +494,8 @@ int cmd_stream(const Args& a) {
       std::cerr << "--connect expects host:port\n";
       return usage();
     }
-    const auto port = static_cast<std::uint16_t>(
-        std::strtoul(connect.substr(colon + 1).c_str(), nullptr, 10));
+    const auto port = static_cast<std::uint16_t>(parse_flag_int(
+        kProgram, "connect", connect.substr(colon + 1), kPort.lo, kPort.hi));
     const auto t = serve::tcp_connect(connect.substr(0, colon), port);
     r = serve::replay_stream_over(comp, opts, *t);
   } else {
@@ -500,8 +535,9 @@ int cmd_slice(const Args& a) {
   if (a.positional.size() < 2) return usage();
   const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const bool as_json = a.flags.contains("json");
-  const std::int64_t max_cuts = flag_int(a, "max-cuts", 1'000'000);
-  const auto threads = static_cast<std::size_t>(flag_int(a, "threads", 0));
+  const std::int64_t max_cuts = flag_int(a, "max-cuts", 1'000'000, kCount);
+  const auto threads =
+      static_cast<std::size_t>(flag_int(a, "threads", 0, kThreads));
 
   slice::SliceBuildCounters ctr;
   const auto sl = slice::Slice::build(comp, &ctr, threads);
@@ -566,13 +602,15 @@ int cmd_sweep(const Args& a) {
   if (a.positional.size() < 2) return usage();
   const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const bool as_json = a.flags.contains("json");
-  const auto threads = static_cast<std::size_t>(flag_int(a, "threads", 0));
+  const auto threads =
+      static_cast<std::size_t>(flag_int(a, "threads", 0, kThreads));
 
   const auto algos =
       split_list(flag_str(a, "algos", "token,dd,lattice,lattice-sliced"));
   std::vector<std::uint64_t> seeds;
   for (const std::string& s : split_list(flag_str(a, "seeds", "1,2,3,4")))
-    seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
+    seeds.push_back(static_cast<std::uint64_t>(
+        parse_flag_int(kProgram, "seeds", s, kCount.lo, kCount.hi)));
   if (algos.empty() || seeds.empty()) return usage();
 
   const auto rows =
@@ -612,6 +650,9 @@ int main(int argc, char** argv) {
     if (cmd == "diagram") return cmd_diagram(a);
     if (cmd == "dot") return cmd_dot(a);
     return usage();
+  } catch (const FlagError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -134,54 +134,54 @@ void Metrics::buffer_change(ProcessId p, std::int64_t delta_bytes,
 
 std::int64_t Metrics::total_messages(MsgKind kind) const {
   std::int64_t sum = 0;
-  for (const auto& pm : per_process_)
+  for (const auto& pm : processes_)
     sum += pm.messages_sent[static_cast<std::size_t>(kind)];
   return sum;
 }
 
 std::int64_t Metrics::total_messages() const {
   std::int64_t sum = 0;
-  for (const auto& pm : per_process_) sum += pm.total_messages();
+  for (const auto& pm : processes_) sum += pm.total_messages();
   return sum;
 }
 
 std::int64_t Metrics::total_bits(MsgKind kind) const {
   std::int64_t sum = 0;
-  for (const auto& pm : per_process_)
+  for (const auto& pm : processes_)
     sum += pm.bits_sent[static_cast<std::size_t>(kind)];
   return sum;
 }
 
 std::int64_t Metrics::total_bits() const {
   std::int64_t sum = 0;
-  for (const auto& pm : per_process_) sum += pm.total_bits();
+  for (const auto& pm : processes_) sum += pm.total_bits();
   return sum;
 }
 
 std::int64_t Metrics::total_work() const {
   std::int64_t sum = 0;
-  for (const auto& pm : per_process_) sum += pm.work_units;
+  for (const auto& pm : processes_) sum += pm.work_units;
   return sum;
 }
 
 std::int64_t Metrics::max_work_per_process() const {
   std::int64_t mx = 0;
-  for (const auto& pm : per_process_) mx = std::max(mx, pm.work_units);
+  for (const auto& pm : processes_) mx = std::max(mx, pm.work_units);
   return mx;
 }
 
 std::int64_t Metrics::max_peak_buffered_bytes() const {
   std::int64_t mx = 0;
-  for (const auto& pm : per_process_) mx = std::max(mx, pm.peak_buffered_bytes);
+  for (const auto& pm : processes_) mx = std::max(mx, pm.peak_buffered_bytes);
   return mx;
 }
 
 void Metrics::merge(const Metrics& other) {
-  if (per_process_.size() < other.per_process_.size())
-    per_process_.resize(other.per_process_.size());
-  for (std::size_t i = 0; i < other.per_process_.size(); ++i) {
-    auto& dst = per_process_[i];
-    const auto& src = other.per_process_[i];
+  if (processes_.size() < other.processes_.size())
+    processes_.resize(other.processes_.size());
+  for (std::size_t i = 0; i < other.processes_.size(); ++i) {
+    auto& dst = processes_[i];
+    const auto& src = other.processes_[i];
     for (std::size_t k = 0; k < kNumMsgKinds; ++k) {
       dst.messages_sent[k] += src.messages_sent[k];
       dst.bits_sent[k] += src.bits_sent[k];
@@ -226,7 +226,7 @@ void Metrics::write_json(json::Writer& w, bool per_process) const {
   if (per_process) {
     w.key("per_process");
     w.begin_array();
-    for (const auto& pm : per_process_) pm.write_json(w);
+    for (const auto& pm : processes_) pm.write_json(w);
     w.end_array();
   }
   w.end_object();

@@ -105,14 +105,14 @@ struct FaultCounters {
 class Metrics {
  public:
   Metrics() = default;
-  explicit Metrics(std::size_t num_processes) : per_process_(num_processes) {}
+  explicit Metrics(std::size_t num_processes) : processes_(num_processes) {}
 
-  void resize(std::size_t num_processes) { per_process_.resize(num_processes); }
+  void resize(std::size_t num_processes) { processes_.resize(num_processes); }
 
-  [[nodiscard]] std::size_t num_processes() const { return per_process_.size(); }
+  [[nodiscard]] std::size_t num_processes() const { return processes_.size(); }
 
-  ProcessMetrics& at(ProcessId p) { return per_process_.at(p.idx()); }
-  const ProcessMetrics& at(ProcessId p) const { return per_process_.at(p.idx()); }
+  ProcessMetrics& at(ProcessId p) { return processes_.at(p.idx()); }
+  const ProcessMetrics& at(ProcessId p) const { return processes_.at(p.idx()); }
 
   void record_send(ProcessId from, MsgKind kind, std::int64_t bits);
   void add_work(ProcessId p, std::int64_t units);
@@ -140,7 +140,7 @@ class Metrics {
   void write_json(json::Writer& w, bool per_process = false) const;
 
  private:
-  std::vector<ProcessMetrics> per_process_;
+  std::vector<ProcessMetrics> processes_;
   std::int64_t token_hops_ = 0;
 };
 

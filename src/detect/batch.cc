@@ -1,5 +1,6 @@
 #include "detect/batch.h"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -144,11 +145,7 @@ std::vector<SweepRow> run_sweep(const Computation& comp,
     for (const SweepJob& job : jobs) rows.push_back(run_one(comp, job));
     return rows;
   }
-  // Force the lazily built trace store into existence before the fan-out:
-  // Computation materializes it on first use, which must not happen
-  // concurrently.
-  (void)comp.trace_store();
-  common::ThreadPool pool(threads);
+  common::ThreadPool pool(std::min(threads, jobs.size()));
   return pool.parallel_map<SweepRow>(
       jobs.size(), [&](std::size_t i) { return run_one(comp, jobs[i]); },
       /*grain=*/1);

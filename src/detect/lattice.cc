@@ -233,9 +233,6 @@ LatticeResult detect_lattice(const Computation& comp, std::int64_t max_cuts,
   WCP_REQUIRE(!comp.predicate_processes().empty(), "empty predicate");
   // Accepted, thread-invariant: 0 still validates WCP_THREADS.
   if (threads == 0) (void)common::ThreadPool::default_threads();
-  // Materialize the trace store up front so the reported trace-store stats
-  // do not depend on whether the search happened to probe a clock.
-  (void)comp.trace_store();
   LatticeResult res = detect_lattice_serial(comp, max_cuts);
   res.trace_store = comp.trace_store_stats();
   return res;
@@ -246,7 +243,6 @@ DefinitelyResult detect_definitely(const Computation& comp,
                                    std::size_t threads) {
   WCP_REQUIRE(!comp.predicate_processes().empty(), "empty predicate");
   if (threads == 0) (void)common::ThreadPool::default_threads();
-  (void)comp.trace_store();
   DefinitelyResult res = detect_definitely_serial(comp, max_cuts);
   res.trace_store = comp.trace_store_stats();
   return res;

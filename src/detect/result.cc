@@ -46,7 +46,7 @@ void DetectionResult::write_json(json::Writer& w, bool include_wall_clock,
     w.key("faults");
     faults.write_json(w);
   }
-  // Same rule for the trace store: only runs that materialized it (offline
+  // Same rule for the trace store: only runs that report it (offline
   // detectors reading ground-truth clocks) emit the block, and its counters
   // are thread-invariant, so cross-thread report diffs stay clean.
   if (trace_store.materialized()) {

@@ -87,8 +87,8 @@ struct DetectionResult {
   /// fault-free runs; deterministic per seed + fault plan otherwise).
   FaultCounters faults;
   /// Columnar trace-store footprint when the run read ground-truth clocks
-  /// through the store (all-zero for online runs, which never materialize
-  /// it). Deterministic per computation — independent of thread count.
+  /// through the store (all-zero for online runs, which do not report it).
+  /// Deterministic per computation — independent of thread count.
   TraceStoreStats trace_store;
 
   /// One JSON object with the outcome, both metric layers, and the

@@ -1,38 +1,18 @@
 #include "serve/daemon.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/flags.h"
 #include "common/json.h"
 
 namespace wcp::serve {
 
 namespace {
 
-/// strtoll with the full checks the old parser skipped: empty input,
-/// trailing garbage ("--port xyz", "--once 4x"), overflow, and range.
-std::int64_t parse_flag_int(const std::string& key, const std::string& value,
-                            std::int64_t lo, std::int64_t hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || errno != 0) {
-    throw std::invalid_argument("wcp_served: --" + key +
-                                " expects an integer, got \"" + value +
-                                "\"");
-  }
-  if (v < lo || v > hi) {
-    std::ostringstream os;
-    os << "wcp_served: --" << key << " must be in [" << lo << ", " << hi
-       << "], got " << v;
-    throw std::invalid_argument(os.str());
-  }
-  return v;
-}
+constexpr std::string_view kProgram = "wcp_served";
 
 bool is_value_flag(const std::string& key) {
   return key == "port" || key == "once" || key == "threads" ||
@@ -65,22 +45,22 @@ DaemonOptions parse_daemon_flags(const std::vector<std::string>& args) {
                                   " requires a value, got flag \"" + value +
                                   "\"");
     if (key == "port") {
-      o.port = static_cast<std::uint16_t>(parse_flag_int(key, value, 0,
-                                                         65535));
+      o.port = static_cast<std::uint16_t>(
+          parse_flag_int(kProgram, key, value, 0, 65535));
     } else if (key == "once") {
-      o.once = parse_flag_int(key, value, 0, kI64Max);
+      o.once = parse_flag_int(kProgram, key, value, 0, kI64Max);
     } else if (key == "threads") {
       o.loop.loop_threads = static_cast<std::size_t>(
-          parse_flag_int(key, value, 0, 1024));
+          parse_flag_int(kProgram, key, value, 0, 1024));
     } else if (key == "gc-every") {
       o.loop.serve.gc_every = static_cast<std::size_t>(
-          parse_flag_int(key, value, 0, kI64Max));
+          parse_flag_int(kProgram, key, value, 0, kI64Max));
     } else if (key == "window") {
       o.loop.serve.reseq_window = static_cast<std::size_t>(
-          parse_flag_int(key, value, 1, kI64Max));
+          parse_flag_int(kProgram, key, value, 1, kI64Max));
     } else if (key == "high-water") {
       o.loop.write_high_water = static_cast<std::size_t>(
-          parse_flag_int(key, value, 4096, kI64Max));
+          parse_flag_int(kProgram, key, value, 4096, kI64Max));
     }
   }
   return o;

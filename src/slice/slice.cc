@@ -22,9 +22,6 @@ Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
   s.slots_.resize(n);
   s.groups_ = CutArena(n);
 
-  // The bottom fixpoint runs first and serially; for a lazily materialized
-  // input (ComputationInput's ground-truth clocks) it also forces the
-  // causality data into existence before any parallel fan-out below.
   const auto bottom = jil(in, 0, 1, &ctr.jil);
   if (!bottom) return s;  // no satisfying cut: empty slice
   s.bottom_ = *bottom;
@@ -42,7 +39,7 @@ Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
       columns[slot] = jil_column(in, slot, s.bottom_, &ctr.jil);
   } else {
     std::vector<JilCounters> per_slot(n);
-    common::ThreadPool pool(threads);
+    common::ThreadPool pool(std::min(threads, n));
     columns = pool.parallel_map<Column>(
         n,
         [&](std::size_t slot) {

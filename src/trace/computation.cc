@@ -12,10 +12,9 @@ Computation Computation::from_store(std::shared_ptr<const TraceStore> store) {
   WCP_REQUIRE(store != nullptr, "cannot build a computation from a null store");
   Computation c;
   const std::size_t N = store->num_processes();
-  c.store_backed_ = true;
-  c.store_states_.resize(N);
+  c.states_.resize(N);
   for (std::size_t p = 0; p < N; ++p)
-    c.store_states_[p] = store->num_states(ProcessId(static_cast<int>(p)));
+    c.states_[p] = store->num_states(ProcessId(static_cast<int>(p)));
   c.pred_slot_.assign(N, -1);
   for (std::uint32_t v : store->predicate_processes()) {
     const ProcessId p(static_cast<std::int32_t>(v));
@@ -27,37 +26,25 @@ Computation Computation::from_store(std::shared_ptr<const TraceStore> store) {
 }
 
 bool Computation::local_pred(ProcessId p, StateIndex k) const {
-  if (store_backed_) return store_->local_pred(p, k);
-  const auto& pp = per_process_.at(p.idx());
-  WCP_REQUIRE(k >= 1 && k <= static_cast<StateIndex>(pp.pred.size()),
-              "state (" << p << "," << k << ") out of range");
-  return pp.pred[static_cast<std::size_t>(k - 1)];
+  return store_->local_pred(p, k);
 }
 
 EventView Computation::events(ProcessId p) const {
-  if (store_backed_) {
-    const auto col = store_->packed_events(p);
-    return EventView(col.data(), col.size());
-  }
-  const auto& pp = per_process_.at(p.idx());
-  return EventView(pp.events.data(), pp.events.size());
+  const auto col = store_->packed_events(p);
+  return EventView(col.data(), col.size());
 }
 
 MessageView Computation::messages() const {
-  if (store_backed_) {
-    const auto tbl = store_->packed_messages();
-    return MessageView(tbl.data(), tbl.size() / 4);
-  }
-  return MessageView(messages_.data(), messages_.size());
+  const auto tbl = store_->packed_messages();
+  return MessageView(tbl.data(), tbl.size() / 4);
 }
 
 MessageRecord Computation::message(MessageId id) const {
-  if (store_backed_) return store_->message(id);
-  return messages_.at(static_cast<std::size_t>(id));
+  return store_->message(id);
 }
 
 std::int64_t Computation::max_messages_per_process() const {
-  // events on p == states on p minus one, on both representations.
+  // events on p == states on p minus one.
   std::int64_t mx = 0;
   for (std::size_t p = 0; p < num_processes(); ++p)
     mx = std::max(mx, static_cast<std::int64_t>(
@@ -72,45 +59,17 @@ std::int64_t Computation::total_states() const {
   return sum;
 }
 
-void Computation::ensure_ground_truth() const {
-  if (store_) return;
-  store_ = std::make_shared<const TraceStore>(TraceStore::build(*this));
-}
-
 VectorClock Computation::ground_truth_clock(ProcessId p, StateIndex k) const {
-  ensure_ground_truth();
   return store_->clock(p, k);
 }
 
 StateIndex Computation::clock_component(ProcessId p, StateIndex k,
                                         ProcessId j) const {
-  ensure_ground_truth();
   return store_->clock_component(p, k, j);
-}
-
-const TraceStore& Computation::trace_store() const {
-  ensure_ground_truth();
-  return *store_;
 }
 
 TraceStoreStats Computation::trace_store_stats() const {
   return store_ ? store_->stats() : TraceStoreStats{};
-}
-
-void Computation::adopt_trace_store(std::shared_ptr<const TraceStore> store) {
-  WCP_REQUIRE(store != nullptr, "cannot adopt a null trace store");
-  WCP_REQUIRE(store->num_processes() == num_processes(),
-              "trace store is for " << store->num_processes()
-                                    << " processes, computation has "
-                                    << num_processes());
-  for (std::size_t p = 0; p < num_processes(); ++p) {
-    const ProcessId pid(static_cast<int>(p));
-    WCP_REQUIRE(store->num_states(pid) == num_states(pid),
-                "trace store has " << store->num_states(pid)
-                                   << " states on " << pid
-                                   << ", computation has " << num_states(pid));
-  }
-  store_ = std::move(store);
 }
 
 bool Computation::happened_before(ProcessId i, StateIndex a, ProcessId j,
@@ -215,62 +174,78 @@ std::ostream& operator<<(std::ostream& os, const Computation& c) {
 // ComputationBuilder
 
 ComputationBuilder::ComputationBuilder(std::size_t num_processes)
-    : default_pred_(num_processes, false),
+    : states_(num_processes, 1),
+      events_(num_processes),
+      pred_bits_(num_processes, std::vector<std::uint64_t>(1, 0)),
+      default_pred_(num_processes, false),
       in_flight_(num_processes),
       in_flight_head_(num_processes, 0) {
   WCP_REQUIRE(num_processes >= 1, "need at least one process");
-  c_.per_process_.resize(num_processes);
-  for (auto& pp : c_.per_process_) pp.pred.push_back(false);
-  c_.pred_slot_.assign(num_processes, -1);
 }
 
 void ComputationBuilder::check_pid(ProcessId p) const {
-  WCP_REQUIRE(p.valid() && p.idx() < c_.per_process_.size(),
-              "bad process id " << p);
+  WCP_REQUIRE(p.valid() && p.idx() < num_processes(), "bad process id " << p);
+}
+
+void ComputationBuilder::check_msg(MessageId msg) const {
+  WCP_REQUIRE(msg >= 0 && static_cast<std::size_t>(msg) < messages_.size() / 4,
+              "unknown message " << msg);
+}
+
+void ComputationBuilder::set_current_pred(std::size_t p, bool value) {
+  const std::uint64_t bit = states_[p] - 1;
+  std::uint64_t& word = pred_bits_[p][bit / 64];
+  const std::uint64_t mask = 1ull << (bit % 64);
+  word = value ? (word | mask) : (word & ~mask);
+}
+
+void ComputationBuilder::append_event(std::size_t p, std::uint32_t word) {
+  events_[p].push_back(word);
+  if (states_[p] % 64 == 0) pred_bits_[p].push_back(0);
+  ++states_[p];
+  set_current_pred(p, default_pred_[p]);
 }
 
 void ComputationBuilder::set_predicate_processes(std::vector<ProcessId> procs) {
   WCP_REQUIRE(!procs.empty(), "predicate must cover at least one process");
   for (ProcessId p : procs) check_pid(p);
-  c_.predicate_processes_ = std::move(procs);
+  predicate_processes_ = std::move(procs);
 }
 
 void ComputationBuilder::set_default_pred(ProcessId p, bool value) {
   check_pid(p);
   default_pred_[p.idx()] = value;
-  auto& pp = c_.per_process_[p.idx()];
   // Apply to the current (still-open) state as well.
-  pp.pred.back() = value;
+  set_current_pred(p.idx(), value);
 }
 
 void ComputationBuilder::mark_pred(ProcessId p, bool value) {
   check_pid(p);
-  c_.per_process_[p.idx()].pred.back() = value;
+  set_current_pred(p.idx(), value);
 }
 
 MessageId ComputationBuilder::send(ProcessId from, ProcessId to) {
   check_pid(from);
   check_pid(to);
   WCP_REQUIRE(from != to, "self-messages are not modeled");
-  const auto id = static_cast<MessageId>(c_.messages_.size());
-  auto& pp = c_.per_process_[from.idx()];
-  c_.messages_.push_back(MessageRecord{
-      from, static_cast<StateIndex>(pp.pred.size()), to, /*recv_state=*/0});
-  pp.events.push_back(Event{EventKind::kSend, id});
-  pp.pred.push_back(default_pred_[from.idx()]);
+  const auto id = static_cast<MessageId>(messages_.size() / 4);
+  messages_.insert(messages_.end(),
+                   {static_cast<std::uint32_t>(from.value()),
+                    static_cast<std::uint32_t>(states_[from.idx()]),
+                    static_cast<std::uint32_t>(to.value()),
+                    /*recv_state=*/0});
+  append_event(from.idx(), static_cast<std::uint32_t>(id));
   in_flight_[to.idx()].push_back(id);
   return id;
 }
 
 void ComputationBuilder::receive(MessageId msg) {
-  WCP_REQUIRE(msg >= 0 && msg < static_cast<MessageId>(c_.messages_.size()),
-              "unknown message " << msg);
-  MessageRecord& mr = c_.messages_[static_cast<std::size_t>(msg)];
-  WCP_REQUIRE(!mr.delivered(), "message " << msg << " received twice");
-  auto& pp = c_.per_process_[mr.to.idx()];
-  pp.events.push_back(Event{EventKind::kReceive, msg});
-  pp.pred.push_back(default_pred_[mr.to.idx()]);
-  mr.recv_state = static_cast<StateIndex>(pp.pred.size());
+  check_msg(msg);
+  WCP_REQUIRE(!delivered(msg), "message " << msg << " received twice");
+  std::uint32_t* quad = &messages_[static_cast<std::size_t>(msg) * 4];
+  const std::size_t to = quad[2];
+  append_event(to, kPackedEventReceiveBit | static_cast<std::uint32_t>(msg));
+  quad[3] = static_cast<std::uint32_t>(states_[to]);
   // Lazily maintained FIFO view: drop the id from the in-flight queue when
   // it reaches the head (next_in_flight_to skips delivered ids).
 }
@@ -282,9 +257,9 @@ MessageId ComputationBuilder::transfer(ProcessId from, ProcessId to) {
 }
 
 ProcessId ComputationBuilder::message_destination(MessageId msg) const {
-  WCP_REQUIRE(msg >= 0 && msg < static_cast<MessageId>(c_.messages_.size()),
-              "unknown message " << msg);
-  return c_.messages_[static_cast<std::size_t>(msg)].to;
+  check_msg(msg);
+  const std::uint32_t to = messages_[static_cast<std::size_t>(msg) * 4 + 2];
+  return ProcessId(static_cast<std::int32_t>(to));
 }
 
 std::size_t ComputationBuilder::in_flight_to(ProcessId to) const {
@@ -292,7 +267,7 @@ std::size_t ComputationBuilder::in_flight_to(ProcessId to) const {
   std::size_t count = 0;
   const auto& q = in_flight_[to.idx()];
   for (std::size_t i = in_flight_head_[to.idx()]; i < q.size(); ++i)
-    if (!c_.messages_[static_cast<std::size_t>(q[i])].delivered()) ++count;
+    if (!delivered(q[i])) ++count;
   return count;
 }
 
@@ -301,31 +276,33 @@ std::optional<MessageId> ComputationBuilder::next_in_flight_to(
   check_pid(to);
   const auto& q = in_flight_[to.idx()];
   auto& head = in_flight_head_[to.idx()];
-  while (head < q.size() &&
-         c_.messages_[static_cast<std::size_t>(q[head])].delivered())
-    ++head;
+  while (head < q.size() && delivered(q[head])) ++head;
   if (head >= q.size()) return std::nullopt;
   return q[head];
 }
 
 StateIndex ComputationBuilder::current_state(ProcessId p) const {
   check_pid(p);
-  return static_cast<StateIndex>(c_.per_process_[p.idx()].pred.size());
+  return static_cast<StateIndex>(states_[p.idx()]);
 }
 
 Computation ComputationBuilder::build() {
-  if (c_.predicate_processes_.empty()) {
-    for (std::size_t p = 0; p < c_.per_process_.size(); ++p)
-      c_.predicate_processes_.emplace_back(static_cast<int>(p));
+  const std::size_t N = num_processes();
+  if (predicate_processes_.empty()) {
+    for (std::size_t p = 0; p < N; ++p)
+      predicate_processes_.emplace_back(static_cast<int>(p));
   }
-  c_.pred_slot_.assign(c_.per_process_.size(), -1);
-  for (std::size_t s = 0; s < c_.predicate_processes_.size(); ++s) {
-    ProcessId p = c_.predicate_processes_[s];
-    WCP_REQUIRE(c_.pred_slot_[p.idx()] == -1,
+  std::vector<std::uint32_t> pred_procs;
+  std::vector<char> listed(N, 0);
+  for (ProcessId p : predicate_processes_) {
+    WCP_REQUIRE(!listed[p.idx()],
                 "process " << p << " listed twice in predicate");
-    c_.pred_slot_[p.idx()] = static_cast<int>(s);
+    listed[p.idx()] = 1;
+    pred_procs.push_back(static_cast<std::uint32_t>(p.value()));
   }
-  return std::move(c_);
+  return Computation::from_store(std::make_shared<const TraceStore>(
+      TraceStore::assemble(std::move(states_), std::move(pred_procs), events_,
+                           pred_bits_, std::move(messages_))));
 }
 
 }  // namespace wcp

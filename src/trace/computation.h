@@ -12,9 +12,12 @@
 // carries the clock of state k — and a message received between states l
 // and l+1 is "received into state l+1".
 //
-// Computation is immutable once built (via ComputationBuilder) and provides
+// Computation is an immutable view over one TraceStore (trace_store.h), the
+// single representation of a trace: ComputationBuilder writes the store's
+// columns directly, and the binary loaders map them from disk. It provides
 // the ground-truth happened-before oracle used by tests, offline reference
-// detectors, and the EXPERIMENTS harness.
+// detectors, and the EXPERIMENTS harness, and a const Computation is safe to
+// share across threads.
 #pragma once
 
 #include <cstdint>
@@ -69,15 +72,12 @@ struct MessageRecord {
 /// encoding (trace_store.h), shared here so views can decode it in place.
 inline constexpr std::uint32_t kPackedEventReceiveBit = 0x8000'0000u;
 
-/// Random-access, value-returning view of one process's event timeline.
-/// Backed either by the eager std::vector<Event> of a built Computation or
-/// by the packed 32-bit event column of a (possibly mmap-ed) TraceStore, so
-/// the same loop walks both without materializing Event records.
+/// Random-access, value-returning view of one process's event timeline:
+/// decodes the packed 32-bit event column of a (possibly mmap-ed)
+/// TraceStore in place, without materializing Event records.
 class EventView {
  public:
   EventView() = default;
-  EventView(const Event* eager, std::size_t size)
-      : eager_(eager), size_(size) {}
   EventView(const std::uint32_t* packed, std::size_t size)
       : packed_(packed), size_(size) {}
 
@@ -85,7 +85,6 @@ class EventView {
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   [[nodiscard]] Event operator[](std::size_t i) const {
-    if (eager_ != nullptr) return eager_[i];
     const std::uint32_t w = packed_[i];
     return Event{(w & kPackedEventReceiveBit) != 0 ? EventKind::kReceive
                                                    : EventKind::kSend,
@@ -135,18 +134,15 @@ class EventView {
   [[nodiscard]] iterator end() const { return {this, size_}; }
 
  private:
-  const Event* eager_ = nullptr;
   const std::uint32_t* packed_ = nullptr;
   std::size_t size_ = 0;
 };
 
-/// Value-returning view of the message table; eager MessageRecord array or
+/// Value-returning view of the store's message table, decoded in place from
 /// packed {from, send_state, to, recv_state} 32-bit quads, like EventView.
 class MessageView {
  public:
   MessageView() = default;
-  MessageView(const MessageRecord* eager, std::size_t size)
-      : eager_(eager), size_(size) {}
   MessageView(const std::uint32_t* packed, std::size_t size)
       : packed_(packed), size_(size) {}
 
@@ -154,7 +150,6 @@ class MessageView {
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   [[nodiscard]] MessageRecord operator[](std::size_t i) const {
-    if (eager_ != nullptr) return eager_[i];
     const std::uint32_t* q = packed_ + i * 4;
     return MessageRecord{ProcessId(static_cast<std::int32_t>(q[0])),
                          static_cast<StateIndex>(q[1]),
@@ -205,24 +200,16 @@ class MessageView {
   [[nodiscard]] iterator end() const { return {this, size_}; }
 
  private:
-  const MessageRecord* eager_ = nullptr;
   const std::uint32_t* packed_ = nullptr;
   std::size_t size_ = 0;
 };
 
-class ComputationBuilder;
-
 class Computation {
  public:
   /// Builds a computation that serves events, predicates, messages, and
-  /// ground-truth clocks directly out of `store` — no eager per-process
-  /// representation is materialized, so a mapped store stays on disk and
-  /// pages in on demand. Only O(N) shape metadata is copied.
+  /// ground-truth clocks directly out of `store`, so a mapped store stays on
+  /// disk and pages in on demand. Only O(N) shape metadata is copied.
   static Computation from_store(std::shared_ptr<const TraceStore> store);
-
-  /// True when this computation is a thin view over its TraceStore (the
-  /// zero-copy load path) rather than an eager builder product.
-  [[nodiscard]] bool store_backed() const { return store_backed_; }
 
   /// Number of processes N.
   [[nodiscard]] std::size_t num_processes() const { return pred_slot_.size(); }
@@ -237,19 +224,18 @@ class Computation {
     return pred_slot_.at(p.idx());
   }
 
-  /// Number of local states on process p (>= 1). Inline on both paths:
-  /// store-backed computations cache the O(N) state counts at adoption so
-  /// the hot exploration loops never call into the store for shape.
+  /// Number of local states on process p (>= 1). Inline: the O(N) state
+  /// counts are cached here so the hot exploration loops never call into
+  /// the store for shape.
   [[nodiscard]] StateIndex num_states(ProcessId p) const {
-    if (store_backed_) return store_states_.at(p.idx());
-    return static_cast<StateIndex>(per_process_.at(p.idx()).pred.size());
+    return states_.at(p.idx());
   }
 
   /// Truth of p's local predicate in state k (1-based).
   [[nodiscard]] bool local_pred(ProcessId p, StateIndex k) const;
 
   /// Events on process p's timeline, in order (a value-returning view over
-  /// either the eager vector or the store's packed column).
+  /// the store's packed column).
   [[nodiscard]] EventView events(ProcessId p) const;
 
   [[nodiscard]] MessageView messages() const;
@@ -265,8 +251,7 @@ class Computation {
   // ---- Ground-truth causality (full-width vector clocks) ----------------
 
   /// Full-width (N-component) vector clock of state (p, k), reconstructed on
-  /// demand from the columnar TraceStore (built once, lazily, on first use;
-  /// delta-encoded rather than the old O(N * total_states) eager matrix).
+  /// demand from the store's delta-encoded clock columns.
   [[nodiscard]] VectorClock ground_truth_clock(ProcessId p,
                                                StateIndex k) const;
 
@@ -319,49 +304,29 @@ class Computation {
 
   // ---- Columnar trace store ----------------------------------------------
 
-  /// The columnar store serving ground-truth clocks, materialized on first
-  /// use (this call forces materialization).
-  [[nodiscard]] const TraceStore& trace_store() const;
+  /// The columnar store every accessor reads: built by ComputationBuilder
+  /// or loaded from a wcp-tracebin file, never rebuilt.
+  [[nodiscard]] const TraceStore& trace_store() const { return *store_; }
 
-  /// Storage counters of the materialized store; all-zero if no caller has
-  /// needed ground-truth causality yet.
+  /// Storage counters of the store (all-zero only for a default-constructed
+  /// computation, which has none).
   [[nodiscard]] TraceStoreStats trace_store_stats() const;
 
-  /// Attach an externally built store (e.g. one loaded from a wcp-tracebin
-  /// file) instead of rebuilding it; the store's shape must match.
-  void adopt_trace_store(std::shared_ptr<const TraceStore> store);
-
  private:
-  friend class ComputationBuilder;
-
-  struct PerProcess {
-    std::vector<Event> events;
-    std::vector<bool> pred;  // pred[k-1] = local predicate in state k
-  };
-
-  void ensure_ground_truth() const;
-
-  std::vector<PerProcess> per_process_;
-  std::vector<MessageRecord> messages_;
+  // Shared, so copies of a computation reuse the same columns.
+  std::shared_ptr<const TraceStore> store_;
   std::vector<ProcessId> predicate_processes_;
-  std::vector<int> pred_slot_;  // process idx -> slot in predicate list, -1
-
-  // Store-backed mode (from_store): per_process_/messages_ stay empty and
-  // every accessor reads the store's columns; store_states_ caches the
-  // per-process state counts so shape queries stay inline.
-  bool store_backed_ = false;
-  std::vector<StateIndex> store_states_;
-
-  // Lazy ground truth: delta-encoded clock columns, one store per
-  // computation (shared so adopters of a loaded file reuse the same data).
-  mutable std::shared_ptr<const TraceStore> store_;
+  std::vector<int> pred_slot_;   // process idx -> slot in predicate list, -1
+  std::vector<StateIndex> states_;  // per-process state counts
 };
 
 std::ostream& operator<<(std::ostream& os, const Computation& c);
 
 /// Incremental builder. Events must be appended in an order that is causally
-/// valid (a receive may only be appended after its send); build() verifies
-/// this and computes nothing else eagerly.
+/// valid (a receive may only be appended after its send). Everything is
+/// staged in the TraceStore's packed column form — 32-bit event words,
+/// 64-state predicate words and {from, send_state, to, recv_state} message
+/// quads — and build() derives the clock deltas by one causal replay.
 class ComputationBuilder {
  public:
   explicit ComputationBuilder(std::size_t num_processes);
@@ -404,8 +369,20 @@ class ComputationBuilder {
 
  private:
   void check_pid(ProcessId p) const;
+  void check_msg(MessageId msg) const;
+  [[nodiscard]] bool delivered(MessageId msg) const {
+    return messages_[static_cast<std::size_t>(msg) * 4 + 3] != 0;
+  }
+  /// Sets the predicate bit of p's current (latest) state.
+  void set_current_pred(std::size_t p, bool value);
+  /// Appends one packed event word on p, opening a new local state.
+  void append_event(std::size_t p, std::uint32_t word);
 
-  Computation c_;
+  std::vector<ProcessId> predicate_processes_;
+  std::vector<std::uint64_t> states_;                // per process
+  std::vector<std::vector<std::uint32_t>> events_;   // per process, packed
+  std::vector<std::vector<std::uint64_t>> pred_bits_;  // per process
+  std::vector<std::uint32_t> messages_;              // quads, by message id
   std::vector<bool> default_pred_;
   std::vector<std::vector<MessageId>> in_flight_;  // per destination, FIFO
   mutable std::vector<std::size_t> in_flight_head_;

@@ -50,8 +50,8 @@ void write_trace(std::ostream& os, const Computation& c) {
       os << "mark " << p << ' ' << (c.local_pred(pid, 1) ? 1 : 0) << "\n";
   }
 
-  // Greedy causal replay (receives after their sends), identical in spirit
-  // to Computation::ensure_ground_truth.
+  // Greedy causal replay (receives after their sends), the same scan the
+  // trace store's clock replay uses.
   std::vector<std::size_t> next(N, 0);
   // Sends are renumbered in emission order; map original ids to new ones so
   // 'recv' lines reference the reader's ids.

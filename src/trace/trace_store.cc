@@ -68,89 +68,71 @@ std::uint64_t lookup_packed(const std::uint64_t* first, const std::uint64_t* las
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Build: one greedy causal replay, recording only clock change points.
+// Assembly: adopt the builder's columns, then one greedy causal replay that
+// records only clock change points.
 
-TraceStore TraceStore::build(const Computation& c) {
-  const std::size_t N = c.num_processes();
+TraceStore TraceStore::assemble(
+    std::vector<std::uint64_t> state_counts,
+    std::vector<std::uint32_t> pred_procs,
+    const std::vector<std::vector<std::uint32_t>>& events,
+    const std::vector<std::vector<std::uint64_t>>& pred_bits,
+    std::vector<std::uint32_t> messages) {
+  const std::size_t N = state_counts.size();
   TraceStore s;
-  auto& state_counts = s.state_counts_own_;
-  auto& pred_procs = s.pred_procs_own_;
-  auto& events = s.events_own_;
-  auto& pred_bits = s.pred_bits_own_;
-  auto& messages = s.messages_own_;
-  auto& clock_offsets = s.clock_offsets_own_;
-  auto& clock_entries = s.clock_entries_own_;
-
-  state_counts.resize(N);
   s.event_offsets_.assign(N + 1, 0);
   s.pred_word_offsets_.assign(N + 1, 0);
   for (std::size_t p = 0; p < N; ++p) {
-    const ProcessId pid(static_cast<int>(p));
-    const auto states = static_cast<std::uint64_t>(c.num_states(pid));
+    const std::uint64_t states = state_counts[p];
     WCP_REQUIRE(states < kStateCap,
-                "process " << pid << " has " << states
+                "process " << ProcessId(static_cast<int>(p)) << " has "
+                           << states
                            << " states, beyond the trace store's 2^32 cap");
-    state_counts[p] = states;
     s.event_offsets_[p + 1] = s.event_offsets_[p] + (states - 1);
     s.pred_word_offsets_[p + 1] = s.pred_word_offsets_[p] + (states + 63) / 64;
   }
-  WCP_REQUIRE(c.messages().size() < kMessageCap,
-              "computation has " << c.messages().size()
+  const std::size_t num_msgs = messages.size() / 4;
+  WCP_REQUIRE(num_msgs < kMessageCap,
+              "computation has " << num_msgs
                                  << " messages, beyond the trace store's 2^31 cap");
 
-  events.reserve(s.event_offsets_[N]);
-  for (std::size_t p = 0; p < N; ++p)
-    for (const Event& ev : c.events(ProcessId(static_cast<int>(p))))
-      events.push_back((ev.kind == EventKind::kReceive ? kReceiveBit : 0u) |
-                       static_cast<std::uint32_t>(ev.msg));
-
-  pred_bits.assign(s.pred_word_offsets_[N], 0);
-  for (std::size_t p = 0; p < N; ++p) {
-    const ProcessId pid(static_cast<int>(p));
-    for (StateIndex k = 1; k <= c.num_states(pid); ++k)
-      if (c.local_pred(pid, k)) {
-        const auto bit = static_cast<std::uint64_t>(k - 1);
-        pred_bits[s.pred_word_offsets_[p] + bit / 64] |= 1ull << (bit % 64);
-      }
-  }
-
-  pred_procs.reserve(c.predicate_processes().size());
-  for (ProcessId p : c.predicate_processes())
-    pred_procs.push_back(static_cast<std::uint32_t>(p.value()));
-
-  messages.reserve(c.messages().size() * 4);
-  for (const MessageRecord& mr : c.messages()) {
-    messages.push_back(static_cast<std::uint32_t>(mr.from.value()));
-    messages.push_back(static_cast<std::uint32_t>(mr.send_state));
-    messages.push_back(static_cast<std::uint32_t>(mr.to.value()));
-    messages.push_back(static_cast<std::uint32_t>(mr.recv_state));
-  }
+  // The per-process event and predicate columns are concatenated back to
+  // back; the shape and message columns are moved in as they are.
+  s.state_counts_own_ = std::move(state_counts);
+  s.pred_procs_own_ = std::move(pred_procs);
+  s.messages_own_ = std::move(messages);
+  s.events_own_.reserve(s.event_offsets_[N]);
+  for (const auto& col : events)
+    s.events_own_.insert(s.events_own_.end(), col.begin(), col.end());
+  s.pred_bits_own_.reserve(s.pred_word_offsets_[N]);
+  for (const auto& col : pred_bits)
+    s.pred_bits_own_.insert(s.pred_bits_own_.end(), col.begin(), col.end());
+  s.bind_owned();
 
   // Clock change lists. Replay events in a causally valid global order (the
-  // same greedy scan ensure_ground_truth used), but never materialize a
+  // builder appended every receive after its send), but never materialize a
   // message clock: when P_p receives a message sent from (from, send_state),
   // each component j of the sender's clock is read back out of the sender's
   // own (already final up to send_state) change list.
   std::vector<std::vector<std::uint64_t>> cols(N * N);
   std::vector<std::uint64_t> cur(N * N, 0);  // cur[p*N+j], j != p; own implicit
   std::vector<std::size_t> next(N, 0);
-  std::vector<char> sent(c.messages().size(), 0);
+  std::vector<char> sent(num_msgs, 0);
 
-  std::size_t remaining = events.size();
+  std::size_t remaining = s.events_.size();
   while (remaining > 0) {
     bool progressed = false;
     for (std::size_t p = 0; p < N; ++p) {
-      const auto evs = c.events(ProcessId(static_cast<int>(p)));
-      while (next[p] < evs.size()) {
-        const Event ev = evs[next[p]];
-        const auto mi = static_cast<std::size_t>(ev.msg);
-        if (ev.kind == EventKind::kSend) {
+      const std::uint32_t* evs = s.events_.data() + s.event_offsets_[p];
+      const std::size_t count = s.event_offsets_[p + 1] - s.event_offsets_[p];
+      while (next[p] < count) {
+        const std::uint32_t w = evs[next[p]];
+        const std::size_t mi = w & ~kReceiveBit;
+        if ((w & kReceiveBit) == 0) {
           sent[mi] = 1;
         } else {
           if (!sent[mi]) break;  // wait for the sender's replay
-          const MessageRecord mr = c.message(ev.msg);
-          const auto from = static_cast<std::size_t>(mr.from.idx());
-          const auto bound = static_cast<std::uint64_t>(mr.send_state);
+          const std::size_t from = s.messages_[mi * 4];
+          const std::uint64_t bound = s.messages_[mi * 4 + 1];
           const auto k = static_cast<std::uint64_t>(next[p]) + 2;
           for (std::size_t j = 0; j < N; ++j) {
             if (j == p) continue;  // own component is k by construction
@@ -185,6 +167,8 @@ TraceStore TraceStore::build(const Computation& c) {
     scratch += static_cast<std::int64_t>(sizeof(col) +
                                          col.capacity() * sizeof(std::uint64_t));
 
+  auto& clock_offsets = s.clock_offsets_own_;
+  auto& clock_entries = s.clock_entries_own_;
   clock_offsets.assign(N * N + 1, 0);
   std::size_t total_entries = 0;
   for (std::size_t i = 0; i < N * N; ++i) {
@@ -237,15 +221,6 @@ std::int64_t TraceStore::total_states() const {
 
 // ---------------------------------------------------------------------------
 // Column accessors.
-
-Event TraceStore::event(ProcessId p, std::size_t t) const {
-  WCP_REQUIRE(p.valid() && p.idx() < num_processes(), "bad process id " << p);
-  WCP_REQUIRE(t < num_events(p),
-              "event (" << p << "," << t << ") out of range");
-  const std::uint32_t w = events_[event_offsets_[p.idx()] + t];
-  return Event{(w & kReceiveBit) != 0 ? EventKind::kReceive : EventKind::kSend,
-               static_cast<MessageId>(w & ~kReceiveBit)};
-}
 
 std::span<const std::uint32_t> TraceStore::packed_events(ProcessId p) const {
   WCP_REQUIRE(p.valid() && p.idx() < num_processes(), "bad process id " << p);
@@ -658,7 +633,7 @@ TraceStore TraceStore::from_source(std::shared_ptr<const ByteSource> src,
     // so a verified binary load and a from-scratch build of the same
     // computation expose identical storage counters.
     const Computation replayed = s.to_computation();
-    const TraceStore rebuilt = TraceStore::build(replayed);
+    const TraceStore& rebuilt = replayed.trace_store();
     WCP_REQUIRE(
         std::ranges::equal(rebuilt.clock_offsets_, s.clock_offsets_) &&
             std::ranges::equal(rebuilt.clock_entries_, s.clock_entries_),

@@ -69,7 +69,8 @@ struct TraceLoadOptions {
   bool verify_replay = true;
 };
 
-/// Flat, immutable, columnar snapshot of one Computation.
+/// Flat, immutable, columnar form of one computation: the representation
+/// every Computation is a view of.
 ///
 /// Move-only: the column spans may point into the owned vectors, and a
 /// member-wise copy would leave the copy's spans aliasing the original.
@@ -80,10 +81,6 @@ class TraceStore {
   TraceStore& operator=(const TraceStore&) = delete;
   TraceStore(TraceStore&&) = default;
   TraceStore& operator=(TraceStore&&) = default;
-
-  /// Builds the columns by one causal replay of `c` (receives are processed
-  /// after their sends, exactly the order ComputationBuilder guarantees).
-  static TraceStore build(const Computation& c);
 
   // ---- shape ---------------------------------------------------------------
 
@@ -106,8 +103,6 @@ class TraceStore {
 
   // ---- columns -------------------------------------------------------------
 
-  /// Event t (0-based) on process p's timeline.
-  [[nodiscard]] Event event(ProcessId p, std::size_t t) const;
   /// Packed event column of process p (kPackedEventReceiveBit | message id
   /// per word) — the zero-copy view Computation serves events from.
   [[nodiscard]] std::span<const std::uint32_t> packed_events(
@@ -161,14 +156,24 @@ class TraceStore {
   static TraceStore from_source(std::shared_ptr<const ByteSource> src,
                                 const TraceLoadOptions& opts = {});
 
-  /// Rebuilds the full Computation (events, predicates, messages) by causal
-  /// replay of the columns. The result carries no clock store; callers that
-  /// want to reuse this store's clocks attach it via
-  /// Computation::adopt_trace_store.
+  /// Rebuilds the computation by causal replay of the columns through a
+  /// ComputationBuilder, which renumbers messages in replay order and
+  /// derives a fresh clock section. The tracebin loader's replay check
+  /// compares that section against the stored one.
   [[nodiscard]] Computation to_computation() const;
 
  private:
-  friend class Computation;
+  friend class ComputationBuilder;
+
+  /// Adopts a builder's staged columns (per-process event words and
+  /// predicate words are concatenated, the rest is moved in) and derives
+  /// the clock deltas by one causal replay.
+  static TraceStore assemble(
+      std::vector<std::uint64_t> state_counts,
+      std::vector<std::uint32_t> pred_procs,
+      const std::vector<std::vector<std::uint32_t>>& events,
+      const std::vector<std::vector<std::uint64_t>>& pred_bits,
+      std::vector<std::uint32_t> messages);
 
   template <class T>
   static const T& span_at(std::span<const T> s, std::size_t i) {
@@ -222,14 +227,12 @@ class TraceStore {
 
 inline constexpr std::string_view kTracebinMagic = "wcptrbin";
 
-/// Writes `c` in the wcp-tracebin 1 binary format (builds or reuses the
-/// computation's TraceStore).
+/// Writes `c`'s TraceStore in the wcp-tracebin 1 binary format.
 void save_tracebin(std::ostream& os, const Computation& c);
 void save_tracebin_file(const std::string& path, const Computation& c);
 
-/// Reads a wcp-tracebin stream back into a Computation whose events,
-/// predicates, messages, and ground-truth clocks are all served by the
-/// loaded store (no eager per-process materialization).
+/// Reads a wcp-tracebin stream back into a Computation served by the
+/// loaded store.
 Computation load_tracebin(std::istream& is, const TraceLoadOptions& opts = {});
 Computation load_tracebin_file(const std::string& path,
                                const TraceLoadOptions& opts = {});

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "detect/lattice.h"
 #include "detect/sliced.h"
 #include "detect/token_vc.h"
+#include "trace/trace_io.h"
 #include "workload/random_workload.h"
 
 namespace wcp::detect {
@@ -79,6 +85,53 @@ TEST(Batch, RowsMatchDirectDetectorCalls) {
   // cross-check the randomized suites lean on.
   EXPECT_EQ(rows[0].verdict, rows[1].verdict);
   EXPECT_EQ(rows[0].cut, rows[1].cut);
+}
+
+/// Everything one reader asks of a shared computation.
+struct CausalityAnswers {
+  std::vector<StateIndex> clock_components;
+  std::vector<char> happened_before;
+  std::optional<std::vector<StateIndex>> first_cut;
+
+  friend bool operator==(const CausalityAnswers&,
+                         const CausalityAnswers&) = default;
+};
+
+CausalityAnswers ask(const Computation& c) {
+  CausalityAnswers a;
+  const std::size_t N = c.num_processes();
+  for (std::size_t i = 0; i < N; ++i) {
+    const ProcessId pi(static_cast<int>(i));
+    for (StateIndex x = 1; x <= c.num_states(pi); ++x)
+      for (std::size_t j = 0; j < N; ++j) {
+        const ProcessId pj(static_cast<int>(j));
+        a.clock_components.push_back(c.clock_component(pi, x, pj));
+        for (StateIndex y = 1; y <= c.num_states(pj); ++y)
+          a.happened_before.push_back(c.happened_before(pi, x, pj, y) ? 1 : 0);
+      }
+  }
+  a.first_cut = c.first_wcp_cut();
+  return a;
+}
+
+// A freshly built computation, from the builder or from trace text, is safe
+// to share across threads with no warm-up call: its store is complete when
+// build() returns, so concurrent readers never race to create it.
+TEST(Batch, FreshComputationIsSafeToShare) {
+  const std::string text = trace_to_string(make_case(7));
+  for (const bool from_text : {false, true}) {
+    const auto fresh = [&] {
+      return from_text ? trace_from_string(text) : make_case(7);
+    };
+    const CausalityAnswers want = ask(fresh());
+    const Computation shared = fresh();  // no call before the fan-out
+    std::vector<CausalityAnswers> got(4);
+    std::vector<std::thread> lanes;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      lanes.emplace_back([&, i] { got[i] = ask(shared); });
+    for (std::thread& t : lanes) t.join();
+    for (const CausalityAnswers& g : got) EXPECT_TRUE(g == want) << from_text;
+  }
 }
 
 TEST(Batch, UnknownAlgoThrows) {

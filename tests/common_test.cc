@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/flags.h"
 #include "common/types.h"
 
 namespace wcp {
@@ -65,6 +66,35 @@ TEST(ErrorMacros, RequireThrowsInvalidArgument) {
 TEST(ErrorMacros, PassingConditionsAreSilent) {
   EXPECT_NO_THROW(WCP_CHECK(true));
   EXPECT_NO_THROW(WCP_REQUIRE(true, "never shown"));
+}
+
+TEST(FlagParsing, AcceptsInRangeValues) {
+  EXPECT_EQ(parse_flag_int("prog", "threads", "8", 0, 1024), 8);
+  EXPECT_EQ(parse_flag_int("prog", "threads", "-3", -5, 5), -3);
+  EXPECT_EQ(parse_flag_double("prog", "reorder", "0.25", 0.0, 1.0), 0.25);
+  EXPECT_EQ(parse_flag_double("prog", "reorder", "1", 0.0, 1.0), 1.0);
+}
+
+TEST(FlagParsing, RejectsMalformedAndOutOfRangeNamingProgramAndFlag) {
+  const auto expect_rejected = [](auto parse, const std::string& value) {
+    try {
+      (void)parse(value);
+      ADD_FAILURE() << "accepted \"" << value << "\"";
+    } catch (const FlagError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("prog: --key ", 0), 0u) << e.what();
+    }
+  };
+  const auto as_int = [](const std::string& v) {
+    return parse_flag_int("prog", "key", v, 0, 1024);
+  };
+  for (const char* v : {"", "abc", "1x", " 1x", "1e3", "-1", "1025",
+                        "99999999999999999999"})
+    expect_rejected(as_int, v);
+  const auto as_prob = [](const std::string& v) {
+    return parse_flag_double("prog", "key", v, 0.0, 1.0);
+  };
+  for (const char* v : {"", "x", "0.5x", "nan", "inf", "-0.1", "1.5", "1e999"})
+    expect_rejected(as_prob, v);
 }
 
 }  // namespace
