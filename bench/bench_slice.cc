@@ -16,10 +16,7 @@
 //   sliced_def_cuts       handoff probes of the sliced definitely()
 //   definitely_prune      definitely_cuts / sliced_def_cuts
 //   slice_groups/edges    size of the slice itself
-//
-// BM_Slice_Parallel sweeps the parallel Slice::build (one J column per
-// slot, see slice/slice.h) over thread counts — the EXPERIMENTS.md E15
-// speedup row; slice contents and counters stay identical.
+
 #include "bench_common.h"
 #include "detect/lattice.h"
 #include "detect/lattice_online.h"
@@ -144,42 +141,6 @@ BENCHMARK(BM_Slice_Online)
     ->Args({8, 4})
     ->Args({16, 8})
     ->Args({24, 12});
-
-// Thread sweep of the parallel slice build on a wide random computation
-// (many slots => many independent J columns). Identical slice for every
-// thread count; the row's value is wall clock.
-void BM_Slice_Parallel(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const auto& comp = cached_random(/*N=*/24, /*n=*/16, /*events=*/60,
-                                   /*seed=*/9, /*pred_prob=*/0.6);
-
-  slice::SliceBuildCounters ctr;
-  slice::Slice sl;
-  for (auto _ : state) {
-    ctr = {};
-    sl = slice::Slice::build(comp, &ctr, threads);
-    benchmark::DoNotOptimize(sl.num_groups());
-  }
-
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["slice_groups"] = static_cast<double>(sl.num_groups());
-  state.counters["jil_advances"] = static_cast<double>(ctr.jil.advances);
-
-  detect::ReportParams rp;
-  rp.N = 24;
-  rp.n = 16;
-  rp.m = comp.max_messages_per_process();
-  rp.seed = 9;
-  report_run(state, "E15_slice_par_t" + std::to_string(threads), rp,
-             {{"threads", static_cast<std::int64_t>(threads)},
-              {"slice_groups", sl.num_groups()},
-              {"slice_edges", sl.num_edges()},
-              {"jil_advances", ctr.jil.advances},
-              {"jil_clock_lookups", ctr.jil.clock_lookups}},
-             std::nullopt, std::nullopt);
-}
-BENCHMARK(BM_Slice_Parallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace wcp::bench

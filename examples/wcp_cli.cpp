@@ -5,31 +5,32 @@
 //            [--seed s] [--detectable 0|1] [--binary]
 //       Generate a random computation and save it as a wcp-trace text file,
 //       or with --binary as a columnar wcp-tracebin file.
-//   detect <in.trace> [--algo token|multi|dd|dd-par|checker|lattice|
-//          lattice-online|lattice-sliced|definitely|definitely-sliced|oracle]
-//          [--groups g] [--seed s] [--halt 0|1] [--faults spec] [--json]
-//          [--verdict] [--trusted]
+//   detect <in.trace> [--algo name] [--groups g] [--seed s] [--halt 0|1]
+//          [--faults spec] [--json] [--verdict] [--trusted]
 //       Run one detector on a trace and print the result + cost metrics.
+//       The names are those of the algorithm table (detect/algo.h);
+//       usage() lists them.
 //   stream <in.trace> [--algos ...] [--connect host:port] [--json]
 //       Replay the trace's snapshots through the streaming service, in
 //       process or to a wcp_served daemon, one verdict line per algorithm.
-//   slice <in.trace> [--max-cuts k] [--threads t] [--json]
+//   slice <in.trace> [--max-cuts k] [--json]
 //       Build the slice and run the sliced possibly/definitely detectors.
 //   sweep <in.trace> [--algos a,b,..] [--seeds s1,s2,..] [--threads t]
-//       Run every (algorithm, seed) pair, fanned out over a thread pool.
+//       Run every (algorithm, seed) pair, fanned out over a thread pool;
+//       each row is the record `detect` renders for that name and seed.
 //   info | diagram | dot <in.trace>
 //       Print the trace's shape and first WCP cut, a space-time diagram, or
 //       a Graphviz rendering.
 //
 // Every command that reads a trace sniffs the magic bytes, so text and
 // binary files are interchangeable inputs. A malformed or out-of-range flag
-// value exits 2 with "wcp_cli: --<flag> ...".
+// value, an unknown algorithm name included, exits 2 with
+// "wcp_cli: --<flag> ..." before the trace loads.
 //
 // Example:
 //   $ wcp_cli generate /tmp/run.trace --N 8 --n 4 --events 30
 //   $ wcp_cli detect /tmp/run.trace --algo dd
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -39,17 +40,12 @@
 
 #include "common/flags.h"
 #include "common/json.h"
+#include "detect/algo.h"
 #include "detect/batch.h"
-#include "serve/replay.h"
-#include "serve/tcp.h"
-#include "detect/centralized.h"
-#include "detect/lattice_online.h"
-#include "detect/direct_dep.h"
-#include "detect/lattice.h"
-#include "detect/multi_token.h"
 #include "detect/report.h"
 #include "detect/sliced.h"
-#include "detect/token_vc.h"
+#include "serve/replay.h"
+#include "serve/tcp.h"
 #include "slice/slice.h"
 #include "trace/diagram.h"
 #include "trace/dot_export.h"
@@ -136,16 +132,22 @@ TraceLoadOptions load_opts(const Args& a) {
   return opts;
 }
 
+/// An --algo/--algos value must name an entry of the algorithm table.
+void require_algo(const std::string& key, const std::string& name) {
+  if (detect::find_algo(name) == nullptr)
+    throw FlagError(std::string(kProgram) + ": --" + key + " expects one of " +
+                    detect::algo_names("|") + ", got \"" + name + "\"");
+}
+
 int usage() {
   std::cerr <<
       "usage:\n"
       "  wcp_cli generate <out.trace> [--N k] [--n k] [--events k]\n"
       "                   [--pred-prob p] [--seed s] [--detectable 0|1]\n"
       "                   [--binary]   write wcp-tracebin instead of text\n"
-      "  wcp_cli detect   <in.trace> [--algo token|multi|dd|dd-par|checker|"
-      "lattice|lattice-online|lattice-sliced|definitely|definitely-sliced|"
-      "oracle]\n"
-      "                   [--groups g] [--seed s] [--halt 0|1] [--json]\n"
+      "  wcp_cli detect   <in.trace> [--algo "
+      << detect::algo_names("|") << "]\n"
+      << "                   [--groups g] [--seed s] [--halt 0|1] [--json]\n"
       "                   [--faults spec]   e.g. "
       "--faults drop=0.2,dup=0.05,seed=7,crash=m1@40+30\n"
       "                   [--verdict]   print only the canonical verdict "
@@ -156,7 +158,7 @@ int usage() {
       "slicer]\n"
       "                   [--faults spec] [--reorder p] [--gc-every k]\n"
       "                   [--window w] [--connect host:port] [--json]\n"
-      "  wcp_cli slice    <in.trace> [--max-cuts k] [--threads t] [--json]\n"
+      "  wcp_cli slice    <in.trace> [--max-cuts k] [--json]\n"
       "  wcp_cli sweep    <in.trace> [--algos a,b,..] [--seeds s1,s2,..]\n"
       "                   [--threads t] [--json]\n"
       "                   t=0: WCP_THREADS env or hardware\n"
@@ -259,205 +261,69 @@ int cmd_dot(const Args& a) {
   return 0;
 }
 
-detect::ReportParams report_params(const Computation& comp,
-                                   std::uint64_t seed) {
-  detect::ReportParams rp;
-  rp.N = static_cast<std::int64_t>(comp.num_processes());
-  rp.n = static_cast<std::int64_t>(comp.predicate_processes().size());
-  rp.m = comp.max_messages_per_process();
-  rp.seed = seed;
-  return rp;
+void print_run(const detect::AlgoRun& r) {
+  std::cout << r.algo->name << ": ";
+  if (r.sim) {
+    std::cout << *r.sim << "\n";
+    if (!r.sim->frozen_cut.empty()) {
+      std::cout << "  frozen at: ";
+      print_cut(r.sim->frozen_cut);
+      std::cout << "\n";
+    }
+    std::cout << "  app:     " << r.sim->app_metrics.summary() << "\n";
+    std::cout << "  monitor: " << r.sim->monitor_metrics.summary() << "\n";
+    return;
+  }
+  if (r.algo->family == detect::AlgoFamily::kDefinitely) {
+    std::cout << (r.truncated ? "inconclusive"
+                              : (r.verdict ? "DEFINITELY" : "not-definitely"))
+              << " cuts_explored=" << r.cost
+              << (r.truncated ? " (truncated)" : "");
+    if (!r.cut.empty()) {
+      std::cout << " witness=";
+      print_cut(r.cut);
+    }
+    std::cout << "\n";
+    return;
+  }
+  std::cout << (r.verdict ? "DETECTED" : "not-detected");
+  if (r.verdict) {
+    std::cout << " cut=";
+    print_cut(r.cut);
+  }
+  if (r.algo->family == detect::AlgoFamily::kPossibly) {
+    if (r.verdict) std::cout << " witness_len=" << r.witness_len;
+    std::cout << " cuts_explored=" << r.cost
+              << " max_frontier=" << r.max_frontier
+              << (r.truncated ? " (truncated)" : "");
+    if (r.trace_store.materialized())
+      std::cout << " store_peak_bytes=" << r.trace_store.peak_bytes;
+  }
+  std::cout << "\n";
 }
 
 int cmd_detect(const Args& a) {
   if (a.positional.size() < 2) return usage();
-  const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const std::string algo = flag_str(a, "algo", "token");
-  const bool as_json = a.flags.contains("json");
-
-  detect::RunOptions opts;
-  opts.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 1, kCount));
-  opts.latency = sim::LatencyModel::uniform(1, 6);
-  opts.halt_on_detect = flag_int(a, "halt", 0, kSwitch) != 0;
+  require_algo("algo", algo);
+  detect::AlgoOptions opts;
+  opts.run.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 1, kCount));
+  opts.run.halt_on_detect = flag_int(a, "halt", 0, kSwitch) != 0;
   const std::string fault_spec = flag_str(a, "faults", "");
-  if (!fault_spec.empty()) opts.faults = sim::FaultPlan::parse(fault_spec);
-  detect::ReportParams rp = report_params(comp, opts.seed);
-  // Echo the canonical (round-tripped) spec so the report pins down the
-  // exact fault schedule the run used.
-  if (opts.faults.enabled()) rp.faults = opts.faults.to_string();
+  if (!fault_spec.empty()) opts.run.faults = sim::FaultPlan::parse(fault_spec);
+  opts.groups = static_cast<int>(flag_int(a, "groups", 2, kProcesses));
 
-  const auto emit_flat =
-      [&](const std::vector<std::pair<std::string, detect::MetricValue>>&
-              metrics) {
-        json::Writer w(std::cout);
-        detect::write_run_report(w, "cli:" + algo, rp, metrics, std::nullopt,
-                                 std::nullopt);
-        std::cout << "\n";
-      };
-
-  const bool verdict_only = a.flags.contains("verdict");
-  if (algo == "oracle") {
-    const auto cut = comp.first_wcp_cut();
-    if (verdict_only) {
-      print_verdict_line(cut.has_value(),
-                         cut.value_or(std::vector<StateIndex>{}));
-      return 0;
-    }
-    if (as_json) {
-      emit_flat({{"detected", cut ? 1 : 0}});
-      return 0;
-    }
-    if (cut) {
-      std::cout << "oracle: DETECTED cut=";
-      print_cut(*cut);
-      std::cout << "\n";
-    } else {
-      std::cout << "oracle: not-detected\n";
-    }
-    return 0;
-  }
-  if (algo == "lattice-online" || algo == "lattice" ||
-      algo == "lattice-sliced") {
-    const auto report_lattice = [&](bool detected,
-                                    const std::vector<StateIndex>& cut,
-                                    std::int64_t cuts_explored,
-                                    std::int64_t max_frontier, bool truncated,
-                                    std::int64_t witness_len,
-                                    const TraceStoreStats& ts) {
-      if (verdict_only) {
-        print_verdict_line(detected, cut);
-        return;
-      }
-      if (as_json) {
-        std::vector<std::pair<std::string, detect::MetricValue>> metrics = {
-            {"detected", detected ? 1 : 0},
-            {"cuts_explored", cuts_explored},
-            {"max_frontier", max_frontier},
-            {"truncated", truncated ? 1 : 0},
-            {"witness_len", witness_len}};
-        if (ts.materialized()) {
-          metrics.emplace_back("store_peak_bytes", ts.peak_bytes);
-          metrics.emplace_back("store_delta_ratio", ts.delta_ratio);
-        }
-        emit_flat(metrics);
-        return;
-      }
-      std::cout << algo << ": " << (detected ? "DETECTED" : "not-detected");
-      if (detected) {
-        std::cout << " cut=";
-        print_cut(cut);
-        std::cout << " witness_len=" << witness_len;
-      }
-      std::cout << " cuts_explored=" << cuts_explored
-                << " max_frontier=" << max_frontier
-                << (truncated ? " (truncated)" : "");
-      if (ts.materialized())
-        std::cout << " store_peak_bytes=" << ts.peak_bytes;
-      std::cout << "\n";
-    };
-    if (algo == "lattice") {
-      const auto r = detect::detect_lattice(comp, 10'000'000);
-      report_lattice(r.detected, r.cut, r.cuts_explored, r.max_frontier,
-                     r.truncated,
-                     static_cast<std::int64_t>(r.witness_path.size()),
-                     r.trace_store);
-    } else if (algo == "lattice-sliced") {
-      const auto r = detect::detect_lattice_sliced(comp);
-      report_lattice(r.detected, r.cut, r.cuts_explored, r.max_frontier,
-                     r.truncated,
-                     static_cast<std::int64_t>(r.witness_path.size()),
-                     r.trace_store);
-    } else {
-      const auto r = detect::run_lattice_online(comp, opts, 10'000'000);
-      report_lattice(r.detected, r.cut, r.cuts_explored, r.max_frontier,
-                     r.truncated, 0, TraceStoreStats{});
-    }
-    return 0;
-  }
-  if (algo == "definitely" || algo == "definitely-sliced") {
-    const auto r = algo == "definitely"
-                       ? detect::detect_definitely(comp, 10'000'000)
-                       : detect::detect_definitely_sliced(comp, 10'000'000);
-    if (as_json) {
-      std::int64_t witness_level = 0;
-      for (StateIndex k : r.witness) witness_level += k;
-      std::vector<std::pair<std::string, detect::MetricValue>> metrics = {
-          {"definitely", r.definitely ? 1 : 0},
-          {"cuts_explored", r.cuts_explored},
-          {"truncated", r.truncated ? 1 : 0},
-          {"witness_found", r.witness.empty() ? 0 : 1},
-          {"witness_level", witness_level},
-          {"witness_len", static_cast<std::int64_t>(r.witness_path.size())}};
-      if (r.trace_store.materialized()) {
-        metrics.emplace_back("store_peak_bytes", r.trace_store.peak_bytes);
-        metrics.emplace_back("store_delta_ratio", r.trace_store.delta_ratio);
-      }
-      emit_flat(metrics);
-      return 0;
-    }
-    std::cout << algo << ": "
-              << (r.truncated ? "inconclusive"
-                              : (r.definitely ? "DEFINITELY" : "not-definitely"))
-              << " cuts_explored=" << r.cuts_explored
-              << (r.truncated ? " (truncated)" : "");
-    if (!r.witness.empty()) {
-      std::cout << " witness=";
-      print_cut(r.witness);
-    }
-    std::cout << "\n";
-    return 0;
-  }
-
-  detect::DetectionResult r;
-  // The paper's work budget for the chosen algorithm: O(n^2 m) for the
-  // vector-clock family (§3.4), O(Nm) for direct dependence (§4.4).
-  double bound = 0;
-  const double nd = static_cast<double>(rp.n);
-  const double md = static_cast<double>(rp.m);
-  if (algo == "token") {
-    r = detect::run_token_vc(comp, opts);
-    bound = nd * nd * md;
-  } else if (algo == "multi") {
-    detect::MultiTokenOptions mt;
-    mt.num_groups = static_cast<int>(flag_int(a, "groups", 2, kProcesses));
-    r = detect::run_multi_token(comp, opts, mt);
-    bound = nd * nd * md;
-  } else if (algo == "dd" || algo == "dd-par") {
-    detect::DdRunOptions dd;
-    dd.parallel = (algo == "dd-par");
-    r = detect::run_direct_dep(comp, opts, dd);
-    bound = static_cast<double>(rp.N) * md;
-  } else if (algo == "checker") {
-    r = detect::run_centralized(comp, opts);
-    bound = nd * nd * md;
-  } else {
-    std::cerr << "unknown --algo '" << algo << "'\n";
-    return usage();
-  }
-  if (verdict_only) {
-    print_verdict_line(r.detected, r.cut);
-    return 0;
-  }
-  if (as_json) {
-    const double work = static_cast<double>(r.monitor_metrics.total_work());
-    std::optional<double> ratio;
-    if (bound > 0) ratio = work / bound;
+  const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
+  const detect::AlgoRun r = detect::run_algo(algo, comp, opts);
+  if (a.flags.contains("verdict")) {
+    print_verdict_line(r.verdict, r.cut);
+  } else if (a.flags.contains("json")) {
     json::Writer w(std::cout);
-    detect::write_run_report(w, "cli:" + algo, rp, r,
-                             bound > 0 ? std::optional<double>(bound)
-                                       : std::nullopt,
-                             ratio);
+    r.write_report(w, "cli:" + algo);
     std::cout << "\n";
-    return 0;
+  } else {
+    print_run(r);
   }
-  std::cout << algo << ": " << r << "\n";
-  if (!r.frozen_cut.empty()) {
-    std::cout << "  frozen at: ";
-    print_cut(r.frozen_cut);
-    std::cout << "\n";
-  }
-  std::cout << "  app:     " << r.app_metrics.summary() << "\n";
-  std::cout << "  monitor: " << r.monitor_metrics.summary() << "\n";
   return 0;
 }
 
@@ -503,7 +369,7 @@ int cmd_stream(const Args& a) {
   }
 
   if (as_json) {
-    detect::ReportParams rp = report_params(comp, 0);
+    detect::ReportParams rp = detect::report_params(comp, 0);
     if (opts.faults.plan.enabled()) rp.faults = opts.faults.plan.to_string();
     std::vector<std::pair<std::string, detect::MetricValue>> metrics;
     for (const auto& [name, value] : r.stats.items())
@@ -536,17 +402,15 @@ int cmd_slice(const Args& a) {
   const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const bool as_json = a.flags.contains("json");
   const std::int64_t max_cuts = flag_int(a, "max-cuts", 1'000'000, kCount);
-  const auto threads =
-      static_cast<std::size_t>(flag_int(a, "threads", 0, kThreads));
 
   slice::SliceBuildCounters ctr;
-  const auto sl = slice::Slice::build(comp, &ctr, threads);
+  const auto sl = slice::Slice::build(comp, &ctr);
   const auto cc = sl.num_cuts(max_cuts);
   const auto possibly = detect::detect_lattice_sliced(comp);
   const auto definitely = detect::detect_definitely_sliced(comp, 10'000'000);
 
   if (as_json) {
-    const detect::ReportParams rp = report_params(comp, 0);
+    const detect::ReportParams rp = detect::report_params(comp, 0);
     json::Writer w(std::cout);
     detect::write_run_report(
         w, "cli:slice", rp,
@@ -600,18 +464,19 @@ std::vector<std::string> split_list(const std::string& csv) {
 
 int cmd_sweep(const Args& a) {
   if (a.positional.size() < 2) return usage();
-  const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const bool as_json = a.flags.contains("json");
   const auto threads =
       static_cast<std::size_t>(flag_int(a, "threads", 0, kThreads));
 
   const auto algos =
       split_list(flag_str(a, "algos", "token,dd,lattice,lattice-sliced"));
+  for (const std::string& name : algos) require_algo("algos", name);
   std::vector<std::uint64_t> seeds;
   for (const std::string& s : split_list(flag_str(a, "seeds", "1,2,3,4")))
     seeds.push_back(static_cast<std::uint64_t>(
         parse_flag_int(kProgram, "seeds", s, kCount.lo, kCount.hi)));
   if (algos.empty() || seeds.empty()) return usage();
+  const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
 
   const auto rows =
       detect::run_sweep(comp, detect::cross_jobs(algos, seeds), threads);
@@ -620,7 +485,8 @@ int cmd_sweep(const Args& a) {
       std::cout << row.report << "\n";
       continue;
     }
-    const bool is_def = row.algo.rfind("definitely", 0) == 0;
+    const bool is_def = detect::algo(row.algo).family ==
+                        detect::AlgoFamily::kDefinitely;
     std::cout << row.algo << " seed=" << row.seed << ": "
               << (row.verdict ? (is_def ? "DEFINITELY" : "DETECTED")
                               : (is_def ? "not-definitely" : "not-detected"))

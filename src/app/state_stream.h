@@ -69,12 +69,18 @@ struct CoreHooks {
   /// The core released the snapshot at (slot, pos) (centralized queue-head
   /// elimination); hosts use it for buffer accounting.
   std::function<void(std::size_t, StateIndex)> released;
+  /// The token moved from slot `from` to slot `to` (TokenCore); hosts use it
+  /// to charge the token message and later work to the right monitor.
+  std::function<void(std::size_t from, std::size_t to)> hop;
 
   void add_work(std::int64_t units) const {
     if (work) work(units);
   }
   void release(std::size_t slot, StateIndex pos) const {
     if (released) released(slot, pos);
+  }
+  void token_hop(std::size_t from, std::size_t to) const {
+    if (hop) hop(from, to);
   }
 };
 

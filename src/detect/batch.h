@@ -8,9 +8,9 @@
 // the jobs fan out across a common::ThreadPool while the returned rows stay
 // in job order, each row byte-identical to what a serial run produces.
 //
-// Job algorithms use the wcp_cli --algo vocabulary: token | multi | dd |
-// dd-par | checker | lattice | lattice-online | lattice-sliced |
-// definitely | definitely-sliced | oracle.
+// Job algorithms are the names of the algorithm table (detect/algo.h), the
+// wcp_cli --algo vocabulary; each row renders the table's run record. An
+// unknown name fails before any job runs.
 #pragma once
 
 #include <cstdint>
@@ -47,13 +47,17 @@ struct SweepRow {
   std::int64_t cost = 0;
   /// Compact wcp-run-report/1 record for the run, wall clock excluded — a
   /// pure function of (computation, algo, seed), so rows from parallel and
-  /// serial sweeps compare byte-for-byte.
+  /// serial sweeps compare byte-for-byte. Apart from `bench` and layout it
+  /// is the record `wcp_cli detect --json` writes for the same name and
+  /// seed, minus that record's wall clock.
   std::string report;
 };
 
 /// Runs every job against `comp`. `threads`: 1 = serial, 0 =
 /// common::ThreadPool::default_threads(), otherwise that many lanes. Rows
 /// are returned in job order and are identical for every thread count.
+/// Throws std::invalid_argument for an unknown job name before any job
+/// runs.
 std::vector<SweepRow> run_sweep(const Computation& comp,
                                 const std::vector<SweepJob>& jobs,
                                 std::size_t threads = 0);

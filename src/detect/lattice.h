@@ -13,9 +13,9 @@
 //
 // Both detectors run one serial BFS: multi-lane exploration never reached
 // its 1.8x gate on 4 cores (ALGORITHMS.md §15), and slicing
-// (detect/sliced.h) is what beats the O(m^n) cost. The `threads` parameter is kept for
-// interface uniformity with the sliced detectors: results are identical
-// for every value, and threads == 0 still resolves
+// (detect/sliced.h) is what beats the O(m^n) cost. The `threads` parameter
+// is kept for the callers that still pass it (perfbench/): results are
+// identical for every value, and threads == 0 still resolves
 // common::ThreadPool::default_threads(), so a malformed WCP_THREADS fails
 // closed.
 // Cut storage: both detectors keep every visited cut in flat arenas

@@ -1,12 +1,13 @@
 #include "detect/offline.h"
 
 #include <deque>
-#include <optional>
 #include <vector>
 
+#include "app/snapshot_stream.h"
 #include "clock/dependence.h"
 #include "clock/vector_clock.h"
 #include "common/error.h"
+#include "detect/stream_core.h"
 
 namespace wcp::detect {
 
@@ -33,76 +34,49 @@ DetectionResult detect_token_vc_offline(const Computation& comp) {
   res.monitor_metrics.resize(n + 1);
   res.app_metrics.resize(comp.num_processes());
 
-  // Candidate queue per slot: the snapshot stream of Fig. 2.
-  std::vector<std::deque<VectorClock>> queue(n);
+  // The Fig. 3 loop is TokenCore's. Work and token messages are charged to
+  // the monitor of the slot holding the token, as in the online run.
+  std::vector<std::vector<app::VcSnapshot>> states(n);
+  std::vector<bool> eos(n, false);
+  const app::SnapshotStateStream stream(states, &eos);
+  std::size_t holder = 0;
+  app::CoreHooks hooks;
+  hooks.work = [&](std::int64_t units) {
+    res.monitor_metrics.add_work(ProcessId(static_cast<int>(holder)), units);
+  };
+  hooks.hop = [&](std::size_t from, std::size_t to) {
+    res.monitor_metrics.record_send(
+        ProcessId(static_cast<int>(from)), MsgKind::kToken,
+        static_cast<std::int64_t>(n) * 64 + static_cast<std::int64_t>(n));
+    res.monitor_metrics.bump_token_hops();
+    holder = to;
+  };
+  TokenCore core(stream, std::move(hooks));
+
+  // Each slot's candidate stream (Fig. 2), one slot after another. A slot's
+  // stream ends once all its candidates are in, so the token starves on a
+  // slot exactly when the offline queue would run dry.
   for (std::size_t s = 0; s < n; ++s) {
     const ProcessId p = preds[s];
+    states[s].reserve(static_cast<std::size_t>(comp.num_states(p)));
     for (StateIndex k = 1; k <= comp.num_states(p); ++k)
       if (comp.local_pred(p, k)) {
-        queue[s].push_back(project(comp, p, k));
         res.app_metrics.record_send(p, MsgKind::kSnapshot,
                                     static_cast<std::int64_t>(n) * 64);
+        states[s].emplace_back().vclock = project(comp, p, k);
+        core.on_state(s);
       }
+    eos[s] = true;
+    core.on_eos(s);
   }
+  WCP_CHECK(core.done());
 
   // The projection above pulled every clock through the columnar store.
   res.trace_store = comp.trace_store_stats();
-
-  std::vector<StateIndex> G(n, 0);
-  std::vector<Color> color(n, Color::kRed);
-  int holder = 0;
-
-  while (true) {
-    const auto s = static_cast<std::size_t>(holder);
-    const ProcessId slot_metric(holder);
-    std::optional<VectorClock> accepted;
-
-    // Fig. 3 while-loop.
-    while (color[s] == Color::kRed) {
-      if (queue[s].empty()) {
-        res.detected = false;  // starved: the stream ended
-        return res;
-      }
-      VectorClock cand = std::move(queue[s].front());
-      queue[s].pop_front();
-      res.monitor_metrics.add_work(slot_metric,
-                                   static_cast<std::int64_t>(n));
-      if (cand[s] > G[s]) {
-        G[s] = cand[s];
-        color[s] = Color::kGreen;
-        accepted = std::move(cand);
-      }
-    }
-    WCP_CHECK(accepted.has_value());
-
-    // Fig. 3 for-loop.
-    res.monitor_metrics.add_work(slot_metric, static_cast<std::int64_t>(n));
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == s) continue;
-      if ((*accepted)[j] >= G[j]) {
-        G[j] = (*accepted)[j];
-        color[j] = Color::kRed;
-      }
-    }
-
-    int next = -1;
-    for (std::size_t j = 0; j < n; ++j)
-      if (color[j] == Color::kRed) {
-        next = static_cast<int>(j);
-        break;
-      }
-    if (next < 0) {
-      res.detected = true;
-      res.cut = G;
-      return res;
-    }
-    res.monitor_metrics.record_send(
-        slot_metric, MsgKind::kToken,
-        static_cast<std::int64_t>(n) * 64 + static_cast<std::int64_t>(n));
-    res.monitor_metrics.bump_token_hops();
-    res.token_hops = res.monitor_metrics.token_hops();
-    holder = next;
-  }
+  res.detected = core.detected();
+  res.cut = core.cut();
+  res.token_hops = res.monitor_metrics.token_hops();
+  return res;
 }
 
 DetectionResult detect_direct_dep_offline(const Computation& comp) {

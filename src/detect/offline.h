@@ -17,7 +17,9 @@
 
 namespace wcp::detect {
 
-/// §3 single-token vector-clock algorithm, offline.
+/// §3 single-token vector-clock algorithm, offline: a TokenCore host
+/// (detect/stream_core.h) fed every candidate snapshot, so the Fig. 3 loop
+/// is the one the streaming service runs.
 DetectionResult detect_token_vc_offline(const Computation& comp);
 
 /// §4 direct-dependence algorithm, offline (serial schedule).

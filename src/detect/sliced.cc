@@ -7,16 +7,11 @@
 
 #include "app/app_driver.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "slice/jil.h"
 
 namespace wcp::detect {
 
-LatticeResult detect_lattice_sliced(const Computation& comp,
-                                    std::size_t threads) {
-  // Inherently serial (see header); resolving 0 keeps WCP_THREADS
-  // validation uniform across detectors, then the value is unused.
-  if (threads == 0) (void)common::ThreadPool::default_threads();
+LatticeResult detect_lattice_sliced(const Computation& comp) {
   const slice::ComputationInput in(comp);
   slice::JilCounters ctr;
   std::vector<StateIndex> lo(in.num_slots(), 1);
@@ -69,9 +64,7 @@ struct FalseInterval {
 // causal floors are monotone in k. Soundness and completeness against the
 // brute-force baseline are exercised by tests/sliced_detect_test.cc.
 DefinitelyResult detect_definitely_sliced(const Computation& comp,
-                                          std::int64_t max_cuts,
-                                          std::size_t threads) {
-  if (threads == 0) (void)common::ThreadPool::default_threads();
+                                          std::int64_t max_cuts) {
   const slice::ComputationInput in(comp);
   const std::size_t n = in.num_slots();
   DefinitelyResult res;

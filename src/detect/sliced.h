@@ -32,20 +32,13 @@
 namespace wcp::detect {
 
 /// possibly(WCP) from the slice bottom; agrees with detect_lattice.
-/// `threads` exists for interface uniformity with detect_lattice: the JIL
-/// fixpoint is inherently serial — a chain of dependent candidate
-/// eliminations — so the parameter only resolves 0 via default_threads()
-/// and the result is identical for every value.
-LatticeResult detect_lattice_sliced(const Computation& comp,
-                                    std::size_t threads = 1);
+LatticeResult detect_lattice_sliced(const Computation& comp);
 
 /// definitely(WCP) via the false-interval handoff search. `max_cuts` caps
 /// the number of candidate handoff cuts examined (<0: unbounded); on cap
 /// the result is inconclusive and truncated is set, mirroring the baseline.
-/// `threads` as in detect_lattice_sliced: accepted, thread-invariant.
 DefinitelyResult detect_definitely_sliced(const Computation& comp,
-                                          std::int64_t max_cuts = -1,
-                                          std::size_t threads = 1);
+                                          std::int64_t max_cuts = -1);
 
 /// Outcome of one online slicing run (see slice/online_slicer.h).
 struct SliceOnlineResult {

@@ -85,6 +85,7 @@ void TokenCore::pump() {
       return;
     }
     ++token_hops_;
+    hooks_.token_hop(s, static_cast<std::size_t>(next));
     holder_ = static_cast<std::size_t>(next);
   }
 }

@@ -21,7 +21,9 @@
 // forward work/buffer accounting into the network metrics at exactly the
 // old call sites, so every simulator run — verdict, cut, metrics, storage
 // stats — is byte-identical to the pre-extraction implementation
-// (tests/centralized_test, tests/lattice_online_test).
+// (tests/centralized_test, tests/lattice_online_test). The offline token
+// run (detect/offline.h) hosts TokenCore the same way, charging work and
+// token hops to the holder's monitor (tests/offline_test).
 #pragma once
 
 #include <cstdint>

@@ -110,8 +110,7 @@ std::optional<std::vector<StateIndex>> least_consistent_cut(
 /// nullopt for states past the slice top (no satisfying cut includes them).
 /// `bottom` must be the slice bottom (== J_slot(1) where it exists); each
 /// fixpoint resumes from the previous J, so one column costs amortized
-/// O(n^2 m). Columns of distinct slots are independent of one another —
-/// the parallel Slice::build computes them concurrently, one task per slot.
+/// O(n^2 m).
 std::vector<std::optional<std::vector<StateIndex>>> jil_column(
     const SliceInput& in, std::size_t slot,
     const std::vector<StateIndex>& bottom, JilCounters* counters = nullptr);

@@ -6,17 +6,14 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace wcp::slice {
 
-Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
-                   std::size_t threads) {
+Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters) {
   SliceBuildCounters local;
   SliceBuildCounters& ctr = counters ? *counters : local;
   const std::size_t n = in.num_slots();
   WCP_REQUIRE(n >= 1, "empty predicate");
-  if (threads == 0) threads = common::ThreadPool::default_threads();
 
   Slice s;
   s.slots_.resize(n);
@@ -25,33 +22,6 @@ Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
   const auto bottom = jil(in, 0, 1, &ctr.jil);
   if (!bottom) return s;  // no satisfying cut: empty slice
   s.bottom_ = *bottom;
-
-  // Per slot, compute the J_s(·) column (see jil_column: each fixpoint
-  // resumes from the previous J, amortized O(n^2 m) per slot). The columns
-  // are mutually independent, so with threads > 1 they are computed
-  // concurrently, one per-slot counter each, and both the interning below
-  // and the counter accumulation happen serially in slot order — keeping
-  // group numbering and counters identical to the serial build.
-  using Column = std::vector<std::optional<std::vector<StateIndex>>>;
-  std::vector<Column> columns(n);
-  if (threads <= 1 || n == 1) {
-    for (std::size_t slot = 0; slot < n; ++slot)
-      columns[slot] = jil_column(in, slot, s.bottom_, &ctr.jil);
-  } else {
-    std::vector<JilCounters> per_slot(n);
-    common::ThreadPool pool(std::min(threads, n));
-    columns = pool.parallel_map<Column>(
-        n,
-        [&](std::size_t slot) {
-          return jil_column(in, slot, s.bottom_, &per_slot[slot]);
-        },
-        /*grain=*/1);
-    for (const JilCounters& c : per_slot) {
-      ctr.jil.calls += c.calls;
-      ctr.jil.advances += c.advances;
-      ctr.jil.clock_lookups += c.clock_lookups;
-    }
-  }
 
   // States whose J coincide form one strongly connected component of the
   // constraint graph (mutual inclusion); deduplicate by interning into the
@@ -65,10 +35,12 @@ Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
         group_table.intern(s.groups_, cut, hasher(cut)).handle);
   };
 
+  // Per slot, compute the J_s(·) column (see jil_column: each fixpoint
+  // resumes from the previous J, amortized O(n^2 m) per slot).
   for (std::size_t slot = 0; slot < n; ++slot) {
     auto& per = s.slots_[slot];
     per.group.assign(static_cast<std::size_t>(in.num_states(slot)), -1);
-    const Column& col = columns[slot];
+    const auto col = jil_column(in, slot, s.bottom_, &ctr.jil);
     for (std::size_t k0 = 0; k0 < col.size(); ++k0) {
       if (!col[k0]) break;  // column ends at the slice top
       per.group[k0] = intern(*col[k0]);
@@ -110,9 +82,8 @@ Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
   return s;
 }
 
-Slice Slice::build(const Computation& comp, SliceBuildCounters* counters,
-                   std::size_t threads) {
-  return build(ComputationInput(comp), counters, threads);
+Slice Slice::build(const Computation& comp, SliceBuildCounters* counters) {
+  return build(ComputationInput(comp), counters);
 }
 
 int Slice::group_of(std::size_t slot, StateIndex k) const {

@@ -32,35 +32,28 @@
 namespace wcp::slice {
 
 /// FNV-1a over cut components — the one shared definition in
-/// common/cut_hash.h, also used by the lattice detectors' visited sets and
-/// the parallel shard partitioning.
+/// common/cut_hash.h, also used by the lattice detectors' visited sets.
 using CutHash = wcp::CutHash;
 
 /// Counters accumulated while building a slice.
 struct SliceBuildCounters {
   JilCounters jil;
-  /// Footprint of the JIL-group interning (arena + dedup table). Interning
-  /// is serial in slot order for every thread count, so these are
-  /// deterministic, unlike the detector-side sharded stats.
+  /// Footprint of the JIL-group interning (arena + dedup table); a
+  /// deterministic function of the computation.
   CutStorageStats storage;
 };
 
 class Slice {
  public:
   /// Builds the slice of `in`'s computation w.r.t. its conjunctive
-  /// predicate. O(n^2 m) fixpoint work plus O(n m) grouping. `threads`:
-  /// 1 = serial; 0 = common::ThreadPool::default_threads(); otherwise the
-  /// independent per-slot J columns are computed concurrently on that many
-  /// lanes and interned serially in slot order, so the resulting slice
-  /// (group numbering included) and the accumulated counters are identical
-  /// to the serial build for every thread count.
+  /// predicate. O(n^2 m) fixpoint work plus O(n m) grouping, serial: a
+  /// per-slot column fan-out measured under 1.5x on 4 cores
+  /// (EXPERIMENTS.md E15p).
   static Slice build(const SliceInput& in,
-                     SliceBuildCounters* counters = nullptr,
-                     std::size_t threads = 1);
+                     SliceBuildCounters* counters = nullptr);
   /// Convenience: slice of a Computation via the ground-truth oracle.
   static Slice build(const Computation& comp,
-                     SliceBuildCounters* counters = nullptr,
-                     std::size_t threads = 1);
+                     SliceBuildCounters* counters = nullptr);
 
   /// True iff no consistent cut satisfies the predicate.
   [[nodiscard]] bool empty() const { return groups_.empty(); }

@@ -1,14 +1,19 @@
 // The batch sweep runner (detect/batch.h): rows must be independent of the
-// sweep's thread count and must match what direct detector calls produce.
+// sweep's thread count and must match what direct detector calls and the
+// algorithm table's run records (detect/algo.h) produce.
 #include "detect/batch.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
+#include "detect/algo.h"
 #include "detect/lattice.h"
 #include "detect/sliced.h"
 #include "detect/token_vc.h"
@@ -59,6 +64,27 @@ TEST(Batch, RowsIndependentOfThreadCount) {
   }
 }
 
+/// The first random run (seeds 1, 2, ...) on which the WCP never holds.
+Computation undetectable_case() {
+  for (std::uint64_t seed = 1;; ++seed) {
+    workload::RandomSpec spec;
+    spec.num_processes = 6;
+    spec.num_predicate = 3;
+    spec.events_per_process = 15;
+    spec.local_pred_prob = 0.1;
+    spec.seed = seed;
+    auto comp = workload::make_random(spec);
+    if (!comp.first_wcp_cut()) return comp;
+  }
+}
+
+/// The `metrics` object of a wcp-run-report/1 record, re-serialized.
+std::string report_metrics(const std::string& report) {
+  const auto doc = json::parse(report);
+  if (!doc || doc->find("metrics") == nullptr) return "unparsable";
+  return doc->find("metrics")->dump(0);
+}
+
 TEST(Batch, RowsMatchDirectDetectorCalls) {
   const auto comp = make_case(7);
   const auto rows = run_sweep(
@@ -85,6 +111,37 @@ TEST(Batch, RowsMatchDirectDetectorCalls) {
   // cross-check the randomized suites lean on.
   EXPECT_EQ(rows[0].verdict, rows[1].verdict);
   EXPECT_EQ(rows[0].cut, rows[1].cut);
+
+  // Every table entry, on a detectable and an undetectable trace: the
+  // detecting families find the oracle's cut, the definitely family agrees
+  // with detect_definitely, and each sweep row reports the metrics of the
+  // run record `wcp_cli detect --json` renders for the same name and seed.
+  std::vector<std::string> names;
+  for (const AlgoEntry& e : algos()) names.emplace_back(e.name);
+  ASSERT_EQ(names.size(), 11u);
+  for (const Computation& c : {make_case(7), undetectable_case()}) {
+    const auto want = c.first_wcp_cut();
+    const bool definitely = detect_definitely(c, 10'000'000).definitely;
+    const auto table_rows = run_sweep(c, cross_jobs(names, {3}), 2);
+    ASSERT_EQ(table_rows.size(), names.size());
+    for (const SweepRow& row : table_rows) {
+      const AlgoEntry& entry = algo(row.algo);
+      if (entry.family == AlgoFamily::kDefinitely) {
+        EXPECT_EQ(row.verdict, definitely) << row.algo;
+      } else {
+        EXPECT_EQ(row.verdict, want.has_value()) << row.algo;
+        EXPECT_EQ(row.cut, want.value_or(std::vector<StateIndex>{}))
+            << row.algo;
+      }
+      AlgoOptions opts;
+      opts.run.seed = 3;
+      std::ostringstream cli;
+      json::Writer w(cli);
+      run_algo(row.algo, c, opts).write_report(w, "cli:" + row.algo, false);
+      EXPECT_EQ(report_metrics(row.report), report_metrics(cli.str()))
+          << row.algo;
+    }
+  }
 }
 
 /// Everything one reader asks of a shared computation.
@@ -138,6 +195,24 @@ TEST(Batch, UnknownAlgoThrows) {
   const auto comp = make_case(1);
   EXPECT_THROW(run_sweep(comp, {{SweepJob{"nope", 1}}}, 1),
                std::invalid_argument);
+  EXPECT_THROW(run_algo("nope", comp, AlgoOptions{}), std::invalid_argument);
+  EXPECT_EQ(find_algo("nope"), nullptr);
+}
+
+TEST(Batch, UnknownAlgoThrowsBeforeAnyJobRuns) {
+  // The names are checked before the sweep sizes its pool: with a
+  // malformed WCP_THREADS the unknown name, not the thread count, is what
+  // fails, so no job of the sweep has run.
+  const auto comp = make_case(1);
+  ::setenv("WCP_THREADS", "O8", 1);
+  std::string what;
+  try {
+    (void)run_sweep(comp, cross_jobs({"token", "bogus"}, {1}), 0);
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  ::unsetenv("WCP_THREADS");
+  EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
 }
 
 }  // namespace

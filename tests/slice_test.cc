@@ -259,67 +259,5 @@ TEST(Slice, IteratorYieldsLevelOrder) {
   }
 }
 
-// ---- parallel-vs-serial equivalence ----------------------------------------
-//
-// The parallel build computes per-slot J columns concurrently but interns
-// serially in slot order, so the slice — group numbering, edges, bottom,
-// top, cut set — and the accumulated counters must be identical for every
-// thread count.
-
-TEST(Slice, ParallelBuildMatchesSerialOnRandomSweep) {
-  for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    workload::RandomSpec spec;
-    spec.num_processes = 5;
-    spec.num_predicate = 4;
-    spec.events_per_process = 10;
-    spec.local_pred_prob = 0.5;
-    spec.seed = seed;
-    const auto comp = workload::make_random(spec);
-
-    SliceBuildCounters serial_ctr;
-    const Slice serial = Slice::build(comp, &serial_ctr, /*threads=*/1);
-    for (std::size_t threads : {2u, 8u}) {
-      SliceBuildCounters ctr;
-      const Slice par = Slice::build(comp, &ctr, threads);
-      ASSERT_EQ(par.empty(), serial.empty()) << "seed " << seed;
-      EXPECT_EQ(par.num_groups(), serial.num_groups()) << "seed " << seed;
-      EXPECT_EQ(par.num_edges(), serial.num_edges()) << "seed " << seed;
-      EXPECT_EQ(par.bottom(), serial.bottom()) << "seed " << seed;
-      EXPECT_EQ(par.top(), serial.top()) << "seed " << seed;
-      EXPECT_EQ(ctr.jil.calls, serial_ctr.jil.calls) << "seed " << seed;
-      EXPECT_EQ(ctr.jil.advances, serial_ctr.jil.advances) << "seed " << seed;
-      EXPECT_EQ(ctr.jil.clock_lookups, serial_ctr.jil.clock_lookups)
-          << "seed " << seed;
-      // Group numbering (not just the count) must match: same group id for
-      // every state, same JIL cut per group.
-      for (int g = 0; g < serial.num_groups(); ++g)
-        EXPECT_EQ(par.group_cut(g), serial.group_cut(g)) << "seed " << seed;
-      const auto procs = comp.predicate_processes();
-      for (std::size_t s = 0; s < procs.size(); ++s)
-        for (StateIndex k = 1; k <= comp.num_states(procs[s]); ++k)
-          EXPECT_EQ(par.group_of(s, k), serial.group_of(s, k))
-              << "seed " << seed << " slot " << s << " k " << k;
-      const auto sc = serial.num_cuts();
-      const auto pc = par.num_cuts();
-      EXPECT_EQ(pc.count, sc.count) << "seed " << seed;
-      EXPECT_EQ(pc.saturated, sc.saturated) << "seed " << seed;
-    }
-  }
-}
-
-TEST(Slice, ParallelBuildOfEmptySlice) {
-  // One slot never true: the slice is empty; the parallel path exits before
-  // any fan-out and must agree.
-  ComputationBuilder b(3);
-  b.mark_pred(ProcessId(0), true);
-  b.mark_pred(ProcessId(2), true);
-  const auto comp = b.build();
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    const Slice sl = Slice::build(comp, nullptr, threads);
-    EXPECT_TRUE(sl.empty());
-    EXPECT_EQ(sl.num_groups(), 0);
-  }
-}
-
 }  // namespace
 }  // namespace wcp::slice
