@@ -24,8 +24,10 @@
 //
 // Every command that reads a trace sniffs the magic bytes, so text and
 // binary files are interchangeable inputs. A malformed or out-of-range flag
-// value, an unknown algorithm name included, exits 2 with
-// "wcp_cli: --<flag> ..." before the trace loads.
+// value, an unknown algorithm name included, a flag the command does not
+// take, and --faults or --halt 1 for a detector the algorithm table does
+// not mark as honouring it all exit 2 with "wcp_cli: --<flag> ..." before
+// the trace loads.
 //
 // Example:
 //   $ wcp_cli generate /tmp/run.trace --N 8 --n 4 --events 30
@@ -302,6 +304,23 @@ void print_run(const detect::AlgoRun& r) {
   std::cout << "\n";
 }
 
+/// `--key` set for an entry that does not honour it (the algorithm table
+/// says which do): a run that ignored the flag would read as if it applied.
+void require_honoured(const std::string& key, bool set,
+                      const std::string& algo,
+                      bool detect::AlgoEntry::*honours) {
+  if (!set || detect::algo(algo).*honours) return;
+  std::string names;
+  for (const detect::AlgoEntry& e : detect::algos()) {
+    if (!(e.*honours)) continue;
+    if (!names.empty()) names += '|';
+    names += e.name;
+  }
+  throw FlagError(std::string(kProgram) + ": --" + key +
+                  " does not apply to --algo " + algo + " (only to " + names +
+                  ")");
+}
+
 int cmd_detect(const Args& a) {
   if (a.positional.size() < 2) return usage();
   const std::string algo = flag_str(a, "algo", "token");
@@ -312,6 +331,10 @@ int cmd_detect(const Args& a) {
   const std::string fault_spec = flag_str(a, "faults", "");
   if (!fault_spec.empty()) opts.run.faults = sim::FaultPlan::parse(fault_spec);
   opts.groups = static_cast<int>(flag_int(a, "groups", 2, kProcesses));
+  require_honoured("faults", !fault_spec.empty(), algo,
+                   &detect::AlgoEntry::faults);
+  require_honoured("halt", opts.run.halt_on_detect, algo,
+                   &detect::AlgoEntry::halt);
 
   const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const detect::AlgoRun r = detect::run_algo(algo, comp, opts);
@@ -500,21 +523,48 @@ int cmd_sweep(const Args& a) {
   return 0;
 }
 
+/// Every command with the flags it reads; any other `--key` exits 2, so a
+/// mistyped or retired flag never silently falls back to a default.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::string_view flags;  // space-separated
+};
+constexpr Command kCommands[] = {
+    {"generate", cmd_generate, "N n events pred-prob seed detectable binary"},
+    {"detect", cmd_detect, "algo groups seed halt faults json verdict trusted"},
+    {"stream", cmd_stream,
+     "algos faults reorder gc-every window connect json trusted"},
+    {"slice", cmd_slice, "max-cuts json trusted"},
+    {"sweep", cmd_sweep, "algos seeds threads json trusted"},
+    {"info", cmd_info, "trusted"},
+    {"diagram", cmd_diagram, "max-states trusted"},
+    {"dot", cmd_dot, "trusted"},
+};
+
+void require_known_flags(const Args& a, const Command& cmd) {
+  for (const auto& [key, value] : a.flags) {
+    bool known = false;
+    std::istringstream names{std::string(cmd.flags)};
+    for (std::string name; names >> name;) known = known || name == key;
+    if (!known)
+      throw FlagError(std::string(kProgram) + ": --" + key + " is not a " +
+                      std::string(cmd.name) + " flag (it takes: " +
+                      std::string(cmd.flags) + ")");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args a = parse_args(argc, argv);
   if (a.positional.empty()) return usage();
   try {
-    const std::string& cmd = a.positional[0];
-    if (cmd == "generate") return cmd_generate(a);
-    if (cmd == "detect") return cmd_detect(a);
-    if (cmd == "stream") return cmd_stream(a);
-    if (cmd == "slice") return cmd_slice(a);
-    if (cmd == "sweep") return cmd_sweep(a);
-    if (cmd == "info") return cmd_info(a);
-    if (cmd == "diagram") return cmd_diagram(a);
-    if (cmd == "dot") return cmd_dot(a);
+    for (const Command& cmd : kCommands) {
+      if (cmd.name != a.positional[0]) continue;
+      require_known_flags(a, cmd);
+      return cmd.run(a);
+    }
     return usage();
   } catch (const FlagError& e) {
     std::cerr << e.what() << "\n";

@@ -72,49 +72,49 @@ AlgoRun direct_dep(const Computation& c, const AlgoOptions& o, bool par) {
 using Opts = AlgoOptions;
 
 constexpr std::array<AlgoEntry, 11> kAlgos = {{
-    {"token", AlgoFamily::kSimulated, bound_n2m,
+    {"token", AlgoFamily::kSimulated, bound_n2m, true, true,
      [](const Computation& c, const Opts& o) {
        return simulated(run_token_vc(c, o.run));
      }},
-    {"multi", AlgoFamily::kSimulated, bound_n2m,
+    {"multi", AlgoFamily::kSimulated, bound_n2m, true, true,
      [](const Computation& c, const Opts& o) {
        MultiTokenOptions mt;
        mt.num_groups = o.groups;
        return simulated(run_multi_token(c, o.run, mt));
      }},
-    {"dd", AlgoFamily::kSimulated, bound_Nm,
+    {"dd", AlgoFamily::kSimulated, bound_Nm, true, true,
      [](const Computation& c, const Opts& o) {
        return direct_dep(c, o, false);
      }},
-    {"dd-par", AlgoFamily::kSimulated, bound_Nm,
+    {"dd-par", AlgoFamily::kSimulated, bound_Nm, true, true,
      [](const Computation& c, const Opts& o) {
        return direct_dep(c, o, true);
      }},
-    {"checker", AlgoFamily::kSimulated, bound_n2m,
+    {"checker", AlgoFamily::kSimulated, bound_n2m, true, false,
      [](const Computation& c, const Opts& o) {
        return simulated(run_centralized(c, o.run));
      }},
-    {"lattice", AlgoFamily::kPossibly, nullptr,
+    {"lattice", AlgoFamily::kPossibly, nullptr, false, false,
      [](const Computation& c, const Opts& o) {
        return possibly(detect_lattice(c, o.max_cuts));
      }},
-    {"lattice-online", AlgoFamily::kPossibly, nullptr,
+    {"lattice-online", AlgoFamily::kPossibly, nullptr, true, false,
      [](const Computation& c, const Opts& o) {
        return possibly(run_lattice_online(c, o.run, o.max_cuts));
      }},
-    {"lattice-sliced", AlgoFamily::kPossibly, nullptr,
+    {"lattice-sliced", AlgoFamily::kPossibly, nullptr, false, false,
      [](const Computation& c, const Opts&) {
        return possibly(detect_lattice_sliced(c));
      }},
-    {"definitely", AlgoFamily::kDefinitely, nullptr,
+    {"definitely", AlgoFamily::kDefinitely, nullptr, false, false,
      [](const Computation& c, const Opts& o) {
        return definitely(detect_definitely(c, o.max_cuts));
      }},
-    {"definitely-sliced", AlgoFamily::kDefinitely, nullptr,
+    {"definitely-sliced", AlgoFamily::kDefinitely, nullptr, false, false,
      [](const Computation& c, const Opts& o) {
        return definitely(detect_definitely_sliced(c, o.max_cuts));
      }},
-    {"oracle", AlgoFamily::kOracle, nullptr,
+    {"oracle", AlgoFamily::kOracle, nullptr, false, false,
      [](const Computation& c, const Opts&) {
        AlgoRun run;
        if (const auto cut = c.first_wcp_cut()) {
@@ -200,8 +200,8 @@ AlgoRun run_algo(std::string_view name, const Computation& comp,
   run.algo = &entry;
   run.params = report_params(comp, opts.run.seed);
   // Echo the canonical (round-tripped) spec so the report pins down the
-  // exact fault schedule the run used.
-  if (opts.run.faults.enabled())
+  // exact fault schedule the run used, for the runs that inject faults.
+  if (entry.faults && opts.run.faults.enabled())
     run.params.faults = opts.run.faults.to_string();
   if (entry.bound)
     if (const double b = entry.bound(run.params); b > 0) run.bound = b;

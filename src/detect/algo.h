@@ -37,7 +37,8 @@ struct AlgoOptions {
   AlgoOptions() { run.latency = sim::LatencyModel::uniform(1, 6); }
 
   /// Seed, latency, faults and halt for the simulator-hosted runs
-  /// (simulated family and lattice-online).
+  /// (simulated family and lattice-online; AlgoEntry says which honour
+  /// faults and halt).
   RunOptions run;
   int groups = 2;                      ///< multi-token group count
   std::int64_t max_cuts = 10'000'000;  ///< lattice/definitely exploration cap
@@ -80,6 +81,10 @@ struct AlgoEntry {
   AlgoFamily family;
   /// The paper's work bound from (N, n, m); null when the family has none.
   double (*bound)(const ReportParams& params);
+  /// Runs on sim::Network, so RunOptions::faults applies to it.
+  bool faults;
+  /// Freezes the application on detection under RunOptions::halt_on_detect.
+  bool halt;
   AlgoRun (*run)(const Computation& comp, const AlgoOptions& opts);
 };
 

@@ -209,22 +209,11 @@ DetectionResult run_direct_dep(const Computation& comp, const RunOptions& opts,
 
   auto inst = install_dd_monitors(net, N, dd, opts.halt_on_detect, observer);
   *monitors = inst.monitors;
-  auto shared = inst.shared;
 
   app::AppDriverOptions drv;
   drv.mode = app::Instrumentation::kDirectDependence;
   drv.relay_snapshots = true;
-  drv.step_delay = opts.step_delay;
-  const auto drivers = app::install_app_drivers(net, comp, drv);
-
-  net.start_and_run(opts.max_events);
-
-  DetectionResult r;
-  if (opts.halt_on_detect && shared->detected) {
-    r.frozen_cut.reserve(drivers.size());
-    for (const auto* d : drivers) r.frozen_cut.push_back(d->current_state());
-  }
-  finish_result(r, net, *shared);
+  DetectionResult r = replay(net, comp, drv, opts, *inst.shared);
   if (r.detected) {
     r.full_cut.resize(N);
     for (std::size_t p = 0; p < N; ++p) r.full_cut[p] = (*monitors)[p]->G();

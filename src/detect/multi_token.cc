@@ -9,10 +9,10 @@
 
 namespace wcp::detect {
 
-MultiTokenLeader::MultiTokenLeader(Config cfg) : cfg_(std::move(cfg)) {
+MultiTokenLeader::MultiTokenLeader(Config cfg)
+    : cfg_(std::move(cfg)), canonical_(n()) {
   WCP_REQUIRE(cfg_.shared != nullptr, "leader needs shared detection state");
   WCP_REQUIRE(cfg_.num_groups >= 1, "need at least one group");
-  canonical_ = VcToken(n());
   const auto g = static_cast<std::size_t>(cfg_.num_groups);
   incarnation_.assign(g, 0);
   outstanding_group_.assign(g, 0);
@@ -52,7 +52,12 @@ void MultiTokenLeader::on_packet(sim::Packet&& p) {
                 "leader got unexpected " << to_string(p.kind));
   auto tok = std::any_cast<VcToken>(std::move(p.payload));
   net().bump_token_hops();
-  merge(tok);
+  // A group token only ever advances information: member slots change
+  // under the single-token rules, other slots only turn red at a raised G
+  // (an elimination), so merge_token's per-slot maximum is sound.
+  net().add_monitor_work(ProcessId(static_cast<int>(net().num_processes())),
+                         static_cast<std::int64_t>(n()));
+  merge_token(canonical_, tok);
   // A stale incarnation is a duplicate the guardian logic already replaced:
   // its information was merged above, but only the live token's return may
   // close out the group.
@@ -74,40 +79,22 @@ void MultiTokenLeader::group_done(int group) {
   if (outstanding_ == 0) cross_check_and_dispatch();
 }
 
-void MultiTokenLeader::merge(const VcToken& tok) {
-  // A group token only ever *advances* information: member slots may change
-  // arbitrarily under the single-token rules; non-member slots may only be
-  // marked red with a raised G (an elimination). Merge keeps, per slot, the
-  // furthest-advanced view; at equal G a red mark wins because it records a
-  // proof that the candidate state is eliminated.
-  net().add_monitor_work(ProcessId(static_cast<int>(net().num_processes())),
-                         static_cast<std::int64_t>(n()));
-  merge_token(canonical_, tok);
-}
-
 void MultiTokenLeader::cross_check_and_dispatch() {
-  ++rounds_;
   const ProcessId coord(static_cast<int>(net().num_processes()));
 
   // Cross-group consistency check: a green slot t carries the vector clock
-  // V[t] of its accepted candidate; V[t][s] >= G[s] proves
-  // (s, G[s]) -> (t, G[t]), eliminating s (same test as Fig. 3's for-loop).
-  // Evidence is frozen before applying eliminations; an eliminated witness
-  // remains sound (its candidate was real and only precedes later ones).
+  // V[t] of its accepted candidate, so Fig. 3's elimination run from t
+  // eliminates every s with (s, G[s]) -> (t, G[t]), at one work unit per
+  // (t, s) pair. The green list is frozen before applying eliminations; an
+  // eliminated witness remains sound (its candidate was real and only
+  // precedes later ones).
   std::vector<std::size_t> greens;
   for (std::size_t t = 0; t < n(); ++t)
     if (canonical_.color[t] == Color::kGreen) greens.push_back(t);
 
   for (std::size_t t : greens) {
-    const VectorClock& v = canonical_.V[t];
-    for (std::size_t s = 0; s < n(); ++s) {
-      if (s == t) continue;
-      net().add_monitor_work(coord, 1);
-      if (v[s] >= canonical_.G[s]) {
-        canonical_.G[s] = v[s];
-        canonical_.color[s] = Color::kRed;
-      }
-    }
+    net().add_monitor_work(coord, static_cast<std::int64_t>(n()) - 1);
+    TokenCore::eliminate(canonical_, t, canonical_.V[t]);
   }
 
   const bool all_green =
@@ -229,7 +216,6 @@ DetectionResult run_multi_token(const Computation& comp,
     TokenVcMonitor::Config mc;
     mc.slot = static_cast<int>(s);
     mc.slot_to_pid = slot_to_pid;
-    mc.starts_with_token = false;  // tokens come from the leader
     mc.shared = shared;
     mc.group_of_slot = group_of_slot;
     mc.leader = sim::NodeAddr::coordinator();
@@ -249,20 +235,8 @@ DetectionResult run_multi_token(const Computation& comp,
   net.add_node(sim::NodeAddr::coordinator(), std::move(leader));
 
   app::AppDriverOptions drv;
-  drv.mode = app::Instrumentation::kVectorClock;
-  drv.step_delay = opts.step_delay;
   drv.compress_clocks = opts.compress_clocks;
-  const auto drivers = app::install_app_drivers(net, comp, drv);
-
-  net.start_and_run(opts.max_events);
-
-  DetectionResult r;
-  if (opts.halt_on_detect && shared->detected) {
-    r.frozen_cut.reserve(drivers.size());
-    for (const auto* d : drivers) r.frozen_cut.push_back(d->current_state());
-  }
-  finish_result(r, net, *shared);
-  return r;
+  return replay(net, comp, drv, opts, *shared);
 }
 
 }  // namespace wcp::detect

@@ -9,6 +9,9 @@
 // detection or re-dispatches tokens into every group that still contains a
 // red slot.
 //
+// Group members run TokenCore::step with their group as the filter; the
+// leader's cross-check is TokenCore::eliminate per green slot.
+//
 // With g == 1 this degenerates to the single-token algorithm plus one
 // leader round-trip; with g == n every slot advances independently.
 #pragma once
@@ -50,11 +53,7 @@ class MultiTokenLeader final : public sim::Node {
   void on_start() override;
   void on_packet(sim::Packet&& p) override;
 
-  /// Number of merge rounds performed (for the E6 bench).
-  [[nodiscard]] std::int64_t rounds() const { return rounds_; }
-
  private:
-  void merge(const VcToken& tok);
   void cross_check_and_dispatch();
   void dispatch(int group, bool regenerated);
   void group_done(int group);
@@ -64,7 +63,6 @@ class MultiTokenLeader final : public sim::Node {
   Config cfg_;
   VcToken canonical_;
   int outstanding_ = 0;
-  std::int64_t rounds_ = 0;
 
   // Per-group recovery state (indexed by group id).
   std::vector<std::int64_t> incarnation_;

@@ -40,14 +40,15 @@ DetectionResult detect_token_vc_offline(const Computation& comp) {
   std::vector<bool> eos(n, false);
   const app::SnapshotStateStream stream(states, &eos);
   std::size_t holder = 0;
+  const std::int64_t token_bits =
+      VcToken(n, /*with_v=*/false).bits(/*with_v=*/false);
   app::CoreHooks hooks;
   hooks.work = [&](std::int64_t units) {
     res.monitor_metrics.add_work(ProcessId(static_cast<int>(holder)), units);
   };
   hooks.hop = [&](std::size_t from, std::size_t to) {
-    res.monitor_metrics.record_send(
-        ProcessId(static_cast<int>(from)), MsgKind::kToken,
-        static_cast<std::int64_t>(n) * 64 + static_cast<std::int64_t>(n));
+    res.monitor_metrics.record_send(ProcessId(static_cast<int>(from)),
+                                    MsgKind::kToken, token_bits);
     res.monitor_metrics.bump_token_hops();
     holder = to;
   };

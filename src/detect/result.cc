@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "app/app_driver.h"
 #include "common/json.h"
 #include "sim/network.h"
 
@@ -93,6 +94,21 @@ void finish_result(DetectionResult& r, sim::Network& net,
   r.app_metrics = net.app_metrics();
   r.monitor_metrics = net.monitor_metrics();
   r.faults = net.fault_counters();
+}
+
+DetectionResult replay(sim::Network& net, const Computation& comp,
+                       app::AppDriverOptions drv, const RunOptions& opts,
+                       const SharedDetection& shared) {
+  drv.step_delay = opts.step_delay;
+  const auto drivers = app::install_app_drivers(net, comp, drv);
+  net.start_and_run(opts.max_events);
+  DetectionResult r;
+  if (opts.halt_on_detect && shared.detected) {
+    r.frozen_cut.reserve(drivers.size());
+    for (const auto* d : drivers) r.frozen_cut.push_back(d->current_state());
+  }
+  finish_result(r, net, shared);
+  return r;
 }
 
 std::ostream& operator<<(std::ostream& os, const DetectionResult& r) {

@@ -14,10 +14,16 @@
 #include "sim/reliable.h"
 #include "trace/trace_store_stats.h"
 
-namespace wcp::sim {
+namespace wcp {
+class Computation;
+namespace app {
+struct AppDriverOptions;
+}  // namespace app
+namespace sim {
 struct NetworkConfig;
 class Network;
-}  // namespace wcp::sim
+}  // namespace sim
+}  // namespace wcp
 
 namespace wcp::detect {
 
@@ -123,5 +129,13 @@ TokenRecoveryOptions effective_recovery(const RunOptions& opts);
 /// fault counters) after start_and_run, plus the shared detection outcome.
 void finish_result(DetectionResult& r, sim::Network& net,
                    const SharedDetection& shared);
+
+/// Replays `comp` through application drivers (`drv`, at the step delay of
+/// `opts`) into the monitors installed on `net`, runs the simulation and
+/// returns the finished result. A halt-on-detect run also records the
+/// state each application process froze in.
+DetectionResult replay(sim::Network& net, const Computation& comp,
+                       app::AppDriverOptions drv, const RunOptions& opts,
+                       const SharedDetection& shared);
 
 }  // namespace wcp::detect

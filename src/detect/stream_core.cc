@@ -1,6 +1,7 @@
 #include "detect/stream_core.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/cut_hash.h"
 #include "common/error.h"
@@ -11,13 +12,26 @@ namespace wcp::detect {
 // TokenCore
 // ---------------------------------------------------------------------------
 
+void merge_token(VcToken& into, const VcToken& from) {
+  WCP_CHECK(into.width() == from.width());
+  for (std::size_t s = 0; s < into.width(); ++s) {
+    if (from.G[s] > into.G[s]) {
+      into.G[s] = from.G[s];
+      into.color[s] = from.color[s];
+      into.V[s] = from.V[s];
+    } else if (from.G[s] == into.G[s] && from.color[s] == Color::kRed) {
+      into.color[s] = Color::kRed;
+    }
+  }
+  into.incarnation = std::max(into.incarnation, from.incarnation);
+}
+
 TokenCore::TokenCore(const app::StateStream& stream, app::CoreHooks hooks)
-    : stream_(stream), hooks_(std::move(hooks)) {
-  const std::size_t n = stream_.slots();
-  WCP_REQUIRE(n >= 1, "empty predicate");
-  queue_.resize(n);
-  g_.assign(n, 0);
-  red_.assign(n, true);
+    : stream_(stream),
+      hooks_(std::move(hooks)),
+      token_(stream.slots(), /*with_v=*/false) {
+  WCP_REQUIRE(stream_.slots() >= 1, "empty predicate");
+  queue_.resize(stream_.slots());
 }
 
 void TokenCore::on_state(std::size_t s) {
@@ -28,65 +42,47 @@ void TokenCore::on_state(std::size_t s) {
   pump();
 }
 
-void TokenCore::on_eos(std::size_t s) {
-  (void)s;
+void TokenCore::on_eos(std::size_t) {
   if (done_) return;
   pump();  // the holder may now starve
 }
 
 void TokenCore::pump() {
+  // A queued candidate's clock, read from the stream component by component.
+  struct QueuedClock {
+    const app::StateStream& stream;
+    std::size_t s;
+    StateIndex pos;
+    StateIndex operator[](std::size_t t) const {
+      return stream.clock(s, pos, t);
+    }
+  };
+  const auto n_units = static_cast<std::int64_t>(n());
   while (!done_) {
     const std::size_t s = holder_;
-    StateIndex accepted = 0;  // position of the accepted candidate
-
-    // Fig. 3 while-loop: consume candidates until one advances G[s].
-    while (red_[s]) {
-      if (queue_[s].empty()) {
-        if (stream_.eos(s)) {
-          done_ = true;  // starved: slot s's stream ended
-          detected_ = false;
-        }
-        return;  // otherwise stall until slot s sends more candidates
-      }
-      const StateIndex pos = queue_[s].front();
-      queue_[s].pop_front();
-      ++candidates_examined_;
-      hooks_.add_work(static_cast<std::int64_t>(n()));
-      const StateIndex own = stream_.clock(s, pos, s);
-      if (own > g_[s]) {
-        g_[s] = own;
-        red_[s] = false;
-        accepted = pos;
-      }
-    }
-    WCP_CHECK(accepted > 0);
-
-    // Fig. 3 for-loop: the accepted clock invalidates dominated slots.
-    hooks_.add_work(static_cast<std::int64_t>(n()));
-    for (std::size_t j = 0; j < n(); ++j) {
-      if (j == s) continue;
-      const StateIndex cj = stream_.clock(s, accepted, j);
-      if (cj >= g_[j]) {
-        g_[j] = cj;
-        red_[j] = true;
-      }
-    }
-
-    int next = -1;
-    for (std::size_t j = 0; j < n(); ++j)
-      if (red_[j]) {
-        next = static_cast<int>(j);
-        break;
-      }
-    if (next < 0) {
-      done_ = true;
-      detected_ = true;
-      cut_ = g_;
+    const TokenStep st = step(
+        token_, s,
+        [&]() -> std::optional<QueuedClock> {
+          if (queue_[s].empty()) return std::nullopt;
+          const StateIndex pos = queue_[s].front();
+          queue_[s].pop_front();
+          hooks_.add_work(n_units);  // examining one candidate is O(n)
+          return QueuedClock{stream_, s, pos};
+        },
+        [](std::size_t) { return true; });
+    if (st.kind == TokenStep::kStalled) {
+      if (stream_.eos(s)) done_ = true;  // starved; otherwise stall
       return;
     }
-    ++token_hops_;
-    hooks_.token_hop(s, static_cast<std::size_t>(next));
-    holder_ = static_cast<std::size_t>(next);
+    hooks_.add_work(n_units);  // the Fig. 3 for-loop
+    if (st.kind == TokenStep::kAllGreen) {
+      done_ = true;
+      detected_ = true;
+      cut_ = token_.G;
+      return;
+    }
+    hooks_.token_hop(s, st.next);
+    holder_ = st.next;
   }
 }
 

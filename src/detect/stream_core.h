@@ -8,7 +8,10 @@
 //   TokenCore        — Fig. 3 of the paper run incrementally: one token
 //                      walks the red slots consuming queued candidates;
 //                      stalls (instead of starving) when the holder's
-//                      candidate queue runs dry mid-stream.
+//                      candidate queue runs dry mid-stream. Its holder
+//                      step (TokenCore::step) is the only Fig. 3 loop: the
+//                      token_vc.h monitors and the multi_token.h leader
+//                      run it too.
 //   CentralizedCore  — Garg & Waldecker queue-head elimination, extracted
 //                      verbatim from CentralizedChecker::process().
 //   LatticeOnlineCore— the online Cooper-Marzullo level-ordered lattice
@@ -33,10 +36,61 @@
 #include <vector>
 
 #include "app/state_stream.h"
+#include "clock/vector_clock.h"
 #include "common/cut_storage.h"
 #include "common/types.h"
 
 namespace wcp::detect {
+
+/// The token of Fig. 3, optionally extended with V: the accepted
+/// candidate's full vector clock per slot, from which the §3.5 leader
+/// cross-checks the groups and a re-examined green slot re-eliminates.
+struct VcToken {
+  std::vector<StateIndex> G;     // candidate cut; G[s] = 0 initially
+  std::vector<Color> color;      // all red initially
+  std::vector<VectorClock> V;    // accepted candidate clocks; may be empty
+
+  // Recovery header (fault-tolerant runs only; see TokenRecoveryOptions).
+  // `group` is the §3.5 group this token serves (-1 in single-token mode);
+  // `incarnation` is bumped each time a guardian or the leader regenerates
+  // the token, so stale duplicates can be told from the live one. Neither
+  // field is charged in bits(): they are a constant-size extension header
+  // and the paper's O(n) token-size claim is measured without it.
+  int group = -1;
+  std::int64_t incarnation = 0;
+
+  /// Without V it is the paper's O(n) token, as TokenCore carries it; the
+  /// simulator monitors carry V for the §3.5 leader and for recovery.
+  explicit VcToken(std::size_t n, bool with_v = true)
+      : G(n, 0), color(n, Color::kRed), V(with_v ? n : 0, VectorClock(n)) {}
+
+  [[nodiscard]] std::size_t width() const { return G.size(); }
+
+  /// Wire size: the paper's token is O(n) (G + color); V adds O(n^2) and is
+  /// only carried for the multi-token variant, so it is costed separately.
+  [[nodiscard]] std::int64_t bits(bool with_v) const {
+    std::int64_t b = static_cast<std::int64_t>(G.size()) * 64 +
+                     static_cast<std::int64_t>(color.size());
+    if (with_v)
+      for (const auto& vc : V) b += vc.bits();
+    return b;
+  }
+};
+
+/// Folds `from` into `into`, slot by slot: the higher G wins and brings its
+/// color and accepted clock; at equal G a red mark wins because it records
+/// an elimination proof. This is the §3.5 leader merge, also used to fold a
+/// duplicate token from a guardian's false-positive regeneration into the
+/// live one: the per-slot maximum of two sound tokens is sound.
+void merge_token(VcToken& into, const VcToken& from);
+
+/// How one Fig. 3 holder step ended: stalled (the holder's queue ran dry
+/// while its slot is red), forward to slot `next`, or all green (no red
+/// slot passes the host's filter).
+struct TokenStep {
+  enum Kind : std::uint8_t { kStalled, kForward, kAllGreen } kind;
+  std::size_t next = 0;
+};
 
 /// Fig. 3 token algorithm over a candidate stream. Positions whose local
 /// predicate is false are skipped on arrival; the token stalls whenever the
@@ -44,6 +98,53 @@ namespace wcp::detect {
 /// (final verdict: not detected) once it has.
 class TokenCore final : public app::StreamCore {
  public:
+  /// The Fig. 3 holder step: slot `s` holds `tok`; `pop()` yields its
+  /// queued candidates' clocks in order, as optionals that are empty once
+  /// the queue is dry. Accepts the first candidate that advances G[s],
+  /// eliminates every slot it dominates and routes to the first red slot j
+  /// with `eligible(j)` (the §3.5 group filter). Hosts charge the work and
+  /// move the token.
+  template <class Pop, class Eligible>
+  static TokenStep step(VcToken& tok, std::size_t s, Pop&& pop,
+                        Eligible&& eligible) {
+    if (tok.color[s] == Color::kGreen) {
+      // A fast-forwarded or merged token: V[s] is the live accepted
+      // candidate, so re-applying its elimination is sound.
+      eliminate(tok, s, tok.V.at(s));
+    } else {
+      // Fig. 3 while-loop: consume candidates until one advances G[s].
+      while (true) {
+        const auto cand = pop();
+        if (!cand) return {TokenStep::kStalled};
+        if ((*cand)[s] > tok.G[s]) {
+          tok.G[s] = (*cand)[s];
+          tok.color[s] = Color::kGreen;
+          if (!tok.V.empty())
+            for (std::size_t t = 0; t < tok.width(); ++t)
+              tok.V[s].set(ProcessId(static_cast<int>(t)), (*cand)[t]);
+          eliminate(tok, s, *cand);
+          break;
+        }
+      }
+    }
+    for (std::size_t j = 0; j < tok.width(); ++j)
+      if (tok.color[j] == Color::kRed && eligible(j))
+        return {TokenStep::kForward, j};
+    return {TokenStep::kAllGreen};
+  }
+
+  /// Fig. 3 for-loop: every slot j whose candidate happened before slot
+  /// s's accepted candidate, whose clock is `c` (c[j] >= G[j]), turns red
+  /// at G[j] = c[j]. Idempotent, so re-applying it is sound.
+  template <class Clock>
+  static void eliminate(VcToken& tok, std::size_t s, const Clock& c) {
+    for (std::size_t j = 0; j < tok.width(); ++j)
+      if (j != s && c[j] >= tok.G[j]) {
+        tok.G[j] = c[j];
+        tok.color[j] = Color::kRed;
+      }
+  }
+
   TokenCore(const app::StateStream& stream, app::CoreHooks hooks);
 
   void on_state(std::size_t s) override;
@@ -57,10 +158,8 @@ class TokenCore final : public app::StreamCore {
   [[nodiscard]] StateIndex frontier(std::size_t s) const override;
   [[nodiscard]] std::int64_t resident_bytes() const override;
 
-  [[nodiscard]] std::int64_t token_hops() const { return token_hops_; }
-  [[nodiscard]] std::int64_t candidates_examined() const {
-    return candidates_examined_;
-  }
+  /// The token as the current holder left it.
+  [[nodiscard]] const VcToken& token() const { return token_; }
 
  private:
   void pump();
@@ -69,14 +168,11 @@ class TokenCore final : public app::StreamCore {
   const app::StateStream& stream_;
   app::CoreHooks hooks_;
   std::vector<std::deque<StateIndex>> queue_;  // candidate positions
-  std::vector<StateIndex> g_;                  // Fig. 3 G vector
-  std::vector<bool> red_;
+  VcToken token_;
   std::size_t holder_ = 0;
   bool done_ = false;
   bool detected_ = false;
   std::vector<StateIndex> cut_;
-  std::int64_t token_hops_ = 0;
-  std::int64_t candidates_examined_ = 0;
 };
 
 /// Garg & Waldecker centralized checker over a candidate stream.

@@ -7,20 +7,6 @@
 
 namespace wcp::detect {
 
-void merge_token(VcToken& into, const VcToken& from) {
-  WCP_CHECK(into.width() == from.width());
-  for (std::size_t s = 0; s < into.width(); ++s) {
-    if (from.G[s] > into.G[s]) {
-      into.G[s] = from.G[s];
-      into.color[s] = from.color[s];
-      into.V[s] = from.V[s];
-    } else if (from.G[s] == into.G[s] && from.color[s] == Color::kRed) {
-      into.color[s] = Color::kRed;
-    }
-  }
-  into.incarnation = std::max(into.incarnation, from.incarnation);
-}
-
 TokenVcMonitor::TokenVcMonitor(Config cfg) : cfg_(std::move(cfg)) {
   WCP_REQUIRE(cfg_.shared != nullptr, "monitor needs shared detection state");
   WCP_REQUIRE(cfg_.slot >= 0 &&
@@ -29,7 +15,7 @@ TokenVcMonitor::TokenVcMonitor(Config cfg) : cfg_(std::move(cfg)) {
 }
 
 void TokenVcMonitor::on_start() {
-  if (cfg_.starts_with_token) {
+  if (cfg_.slot == 0 && !grouped()) {  // §3.5 tokens come from the leader
     token_.emplace(n());
     process_token();
   }
@@ -51,7 +37,7 @@ void TokenVcMonitor::on_restart() {
   // left (so no guardian holds a checkpoint), the crash destroyed the only
   // copy — recreate it. The fast-forward rule in process_token restores the
   // progress recorded in the durable last-accept memory.
-  if (cfg_.starts_with_token && !forwarded_ever_ && !token_.has_value()) {
+  if (cfg_.slot == 0 && !grouped() && !forwarded_ever_ && !token_.has_value()) {
     ++net().fault_counters().token_regenerations;
     token_.emplace(n());
     process_token();
@@ -124,30 +110,38 @@ void TokenVcMonitor::process_token() {
     tok.V[s] = last_V_;
   }
 
-  // Fig. 3 while-loop: consume candidates until one survives the current
-  // elimination threshold G[s].
-  while (tok.color[s] == Color::kRed) {
-    if (inbox_.empty()) {
-      enter_waiting();
-      return;
-    }
-    app::VcSnapshot snap = std::move(inbox_.front());
-    inbox_.pop_front();
-    net().monitor_buffer_change(pid(), -snap.bytes(), -1);
-    // Examining (and possibly eliminating) one candidate is O(n): the
-    // snapshot was received, copied, and its own component compared.
-    net().add_monitor_work(pid(), static_cast<std::int64_t>(n()));
-    if (snap.vclock[s] > tok.G[s]) {
-      tok.G[s] = snap.vclock[s];
-      tok.color[s] = Color::kGreen;
-      tok.V[s] = std::move(snap.vclock);
-      last_G_ = tok.G[s];
-      last_V_ = tok.V[s];
-      has_last_ = true;
-    }
+  // The Fig. 3 holder step on this monitor's inbox (§3.5: own group only).
+  const StateIndex before = tok.G[s];
+  const TokenStep step = TokenCore::step(
+      tok, s,
+      [&]() -> std::optional<VectorClock> {
+        if (inbox_.empty()) return std::nullopt;
+        app::VcSnapshot snap = std::move(inbox_.front());
+        inbox_.pop_front();
+        WCP_CHECK(snap.vclock.width() == n());
+        net().monitor_buffer_change(pid(), -snap.bytes(), -1);
+        // Examining (and possibly eliminating) one candidate is O(n): the
+        // snapshot was received, copied, and its own component compared.
+        net().add_monitor_work(pid(), static_cast<std::int64_t>(n()));
+        return std::move(snap.vclock);
+      },
+      [&](std::size_t j) {
+        return !grouped() || cfg_.group_of_slot[j] == cfg_.group_of_slot[s];
+      });
+  if (step.kind == TokenStep::kStalled) {
+    enter_waiting();
+    return;
+  }
+  WCP_CHECK(tok.V[s][s] == tok.G[s]);
+  if (tok.G[s] != before) {  // accepted a candidate: remember it durably
+    last_G_ = tok.G[s];
+    last_V_ = tok.V[s];
+    has_last_ = true;
   }
   waiting_ = false;
-  accept_and_route();
+  // The step's Fig. 3 for-loop costs O(n).
+  net().add_monitor_work(pid(), static_cast<std::int64_t>(n()));
+  route(step);
 }
 
 void TokenVcMonitor::enter_waiting() {
@@ -227,58 +221,28 @@ void TokenVcMonitor::on_watchdog() {
   arm_watchdog(cfg_.recovery.lease);
 }
 
-void TokenVcMonitor::accept_and_route() {
-  auto& tok = *token_;
-  const auto s = static_cast<std::size_t>(cfg_.slot);
-  const VectorClock& cand = tok.V[s];
-  WCP_CHECK(cand.width() == n() && cand[s] == tok.G[s]);
+void TokenVcMonitor::route(const TokenStep& step) {
+  const bool forward = step.kind == TokenStep::kForward;
+  if (cfg_.observer) cfg_.observer(*token_, cfg_.slot, !grouped() && !forward);
 
-  // Fig. 3 for-loop: any j whose candidate state is dominated by ours
-  // ((j, G[j]) happened before (s, G[s])) is eliminated. Re-applying this
-  // after a merge is sound and idempotent: V[s] is the live accepted
-  // candidate, so its elimination evidence never goes stale.
-  net().add_monitor_work(pid(), static_cast<std::int64_t>(n()));
-  for (std::size_t j = 0; j < n(); ++j) {
-    if (j == s) continue;
-    if (cand[j] >= tok.G[j]) {
-      tok.G[j] = cand[j];
-      tok.color[j] = Color::kRed;
-    }
-  }
-
-  const int my_group = grouped() ? cfg_.group_of_slot[s] : 0;
-
-  // Route to the first red slot (own group only in §3.5 mode), or finish.
-  int red = -1;
-  for (std::size_t j = 0; j < n(); ++j) {
-    if (tok.color[j] == Color::kRed &&
-        (!grouped() || cfg_.group_of_slot[j] == my_group)) {
-      red = static_cast<int>(j);
-      break;
-    }
-  }
-
-  if (cfg_.observer) cfg_.observer(tok, cfg_.slot, !grouped() && red < 0);
-
-  VcToken out = std::move(tok);
+  VcToken out = std::move(*token_);
   token_.reset();
 
-  if (red >= 0) {
+  if (forward) {
     const std::int64_t bits = out.bits(/*with_v=*/grouped());
     if (cfg_.recovery.enabled && !grouped()) {
       // Become the successor's guardian: checkpoint what we forward and
       // watch for its heartbeats; release our own guardian.
       checkpoint_ = out;
-      successor_slot_ = red;
+      successor_slot_ = static_cast<int>(step.next);
       watch_deadline_ = net().simulator().now() + cfg_.recovery.lease;
       arm_watchdog(cfg_.recovery.lease);
       if (has_sender_)
         send(token_sender_, MsgKind::kControl, TokenRelease{}, /*bits=*/1);
     }
     forwarded_ever_ = true;
-    send(sim::NodeAddr::monitor(
-             cfg_.slot_to_pid[static_cast<std::size_t>(red)]),
-         MsgKind::kToken, std::move(out), bits);
+    send(sim::NodeAddr::monitor(cfg_.slot_to_pid[step.next]), MsgKind::kToken,
+         std::move(out), bits);
     return;
   }
 
@@ -319,7 +283,6 @@ std::shared_ptr<SharedDetection> install_token_vc_monitors(
     TokenVcMonitor::Config mc;
     mc.slot = static_cast<int>(s);
     mc.slot_to_pid = slot_to_pid;
-    mc.starts_with_token = (s == 0);
     mc.shared = shared;
     mc.observer = observer;
     mc.halt_apps = halt_apps;
@@ -333,30 +296,14 @@ std::shared_ptr<SharedDetection> install_token_vc_monitors(
 DetectionResult run_token_vc(const Computation& comp, const RunOptions& opts,
                              const VcTokenObserver& observer) {
   const auto preds = comp.predicate_processes();
-  const std::size_t n = preds.size();
-  WCP_REQUIRE(n >= 1, "empty predicate");
-
   sim::Network net(network_config(opts, comp.num_processes()));
-
   std::vector<ProcessId> slot_to_pid(preds.begin(), preds.end());
   auto shared = install_token_vc_monitors(
       net, slot_to_pid, observer, opts.halt_on_detect, effective_recovery(opts));
 
   app::AppDriverOptions drv;
-  drv.mode = app::Instrumentation::kVectorClock;
-  drv.step_delay = opts.step_delay;
   drv.compress_clocks = opts.compress_clocks;
-  const auto drivers = app::install_app_drivers(net, comp, drv);
-
-  net.start_and_run(opts.max_events);
-
-  DetectionResult r;
-  if (opts.halt_on_detect && shared->detected) {
-    r.frozen_cut.reserve(drivers.size());
-    for (const auto* d : drivers) r.frozen_cut.push_back(d->current_state());
-  }
-  finish_result(r, net, *shared);
-  return r;
+  return replay(net, comp, drv, opts, *shared);
 }
 
 }  // namespace wcp::detect

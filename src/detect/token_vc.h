@@ -9,6 +9,10 @@
 // when all slots are green, G is the first cut satisfying the WCP
 // (Theorem 3.2).
 //
+// That holder step, and VcToken, belong to TokenCore (detect/stream_core.h);
+// the monitor runs the step on its snapshot inbox and hosts the rest:
+// work charges, forwarding, recovery, heartbeats and the halt broadcast.
+//
 // Complexity (measured by the E1-E3 benches): O(n^2 m) total work and
 // messages-bits, O(nm) work and space per monitor.
 #pragma once
@@ -22,53 +26,11 @@
 #include "app/snapshot.h"
 #include "clock/vector_clock.h"
 #include "detect/result.h"
+#include "detect/stream_core.h"
 #include "sim/network.h"
 #include "trace/computation.h"
 
 namespace wcp::detect {
-
-/// The token of Fig. 3, extended with V: the accepted candidate's full
-/// vector clock per slot. V is required by the multi-token leader merge
-/// (§3.5) and is also what the lemma-invariant test hooks inspect; the
-/// single-token algorithm itself reads only G and color.
-struct VcToken {
-  std::vector<StateIndex> G;     // candidate cut; G[s] = 0 initially
-  std::vector<Color> color;      // all red initially
-  std::vector<VectorClock> V;    // accepted candidate clocks (width n each)
-
-  // Recovery header (fault-tolerant runs only; see TokenRecoveryOptions).
-  // `group` is the §3.5 group this token serves (-1 in single-token mode);
-  // `incarnation` is bumped each time a guardian or the leader regenerates
-  // the token, so stale duplicates can be told from the live one. Neither
-  // field is charged in bits(): they are a constant-size extension header
-  // and the paper's O(n) token-size claim is measured without it.
-  int group = -1;
-  std::int64_t incarnation = 0;
-
-  explicit VcToken(std::size_t n)
-      : G(n, 0), color(n, Color::kRed), V(n, VectorClock(n)) {}
-  VcToken() = default;
-
-  [[nodiscard]] std::size_t width() const { return G.size(); }
-
-  /// Wire size: the paper's token is O(n) (G + color); V adds O(n^2) and is
-  /// only carried for the multi-token variant, so it is costed separately.
-  [[nodiscard]] std::int64_t bits(bool with_v) const {
-    std::int64_t b = static_cast<std::int64_t>(G.size()) * 64 +
-                     static_cast<std::int64_t>(color.size());
-    if (with_v)
-      for (const auto& vc : V) b += vc.bits();
-    return b;
-  }
-};
-
-/// Folds `from` into `into`, slot by slot: the higher G wins and brings its
-/// color and accepted clock; at equal G a red mark wins because it records
-/// an elimination proof. This is the §3.5 leader merge, reused to fold a
-/// duplicate token (produced by a guardian's false-positive regeneration)
-/// into the live one — both are sound states of the same lineage, and the
-/// per-slot maximum preserves both soundness invariants.
-void merge_token(VcToken& into, const VcToken& from);
 
 // ---- recovery control payloads (MsgKind::kControl) -----------------------
 
@@ -101,7 +63,6 @@ class TokenVcMonitor final : public sim::Node {
   struct Config {
     int slot = 0;                              // this monitor's index in the cut
     std::vector<ProcessId> slot_to_pid;        // predicate slot -> process id
-    bool starts_with_token = false;            // slot 0 creates the token
     std::shared_ptr<SharedDetection> shared;
     VcTokenObserver observer;                  // may be empty
 
@@ -132,7 +93,7 @@ class TokenVcMonitor final : public sim::Node {
 
  private:
   void process_token();
-  void accept_and_route();
+  void route(const TokenStep& step);
   void on_token(sim::Packet&& p);
   void enter_waiting();
   void notify_starved();

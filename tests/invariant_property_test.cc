@@ -1,11 +1,16 @@
 // Online verification of the paper's correctness lemmas (DESIGN.md I1-I3,
 // I5): observer hooks fire at every token movement and check the token
-// state against the ground-truth causality of the computation.
+// state against the ground-truth causality of the computation. Lemma 3.1
+// is checked on both Fig. 3 hosts: the simulator monitors and TokenCore.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <tuple>
 
+#include "app/snapshot_stream.h"
 #include "detect/direct_dep.h"
+#include "detect/stream_core.h"
 #include "detect/token_vc.h"
 #include "workload/mutex_workload.h"
 #include "workload/random_workload.h"
@@ -76,10 +81,46 @@ void check_lemma_3_1(const Computation& comp, const VcToken& tok,
     }
 }
 
-class TokenVcInvariants : public ::testing::TestWithParam<std::uint64_t> {};
+// The Fig. 3 hosts the lemma is checked on: the simulator monitors
+// (TokenVcMonitor) and the offline TokenCore host.
+enum class Host { kSimulator, kCore };
+
+// The offline TokenCore host (as detect_token_vc_offline runs it): every
+// slot's candidates fed in slot order, each followed by its end of stream.
+// The observer reads the core's token at every hop and at detection.
+void run_token_core(const Computation& comp, const VcTokenObserver& observer) {
+  const auto preds = comp.predicate_processes();
+  const std::size_t n = preds.size();
+  std::vector<std::vector<app::VcSnapshot>> states(n);
+  std::vector<bool> eos(n, false);
+  const app::SnapshotStateStream stream(states, &eos);
+  std::optional<TokenCore> core;
+  app::CoreHooks hooks;
+  hooks.hop = [&](std::size_t from, std::size_t) {
+    observer(core->token(), static_cast<int>(from), false);
+  };
+  core.emplace(stream, std::move(hooks));
+  for (std::size_t s = 0; s < n; ++s) {
+    for (StateIndex k = 1; k <= comp.num_states(preds[s]); ++k) {
+      if (!comp.local_pred(preds[s], k)) continue;
+      std::vector<StateIndex> c(n);
+      for (std::size_t t = 0; t < n; ++t)
+        c[t] = comp.clock_component(preds[s], k, preds[t]);
+      states[s].emplace_back().vclock = VectorClock(std::move(c));
+      core->on_state(s);
+    }
+    eos[s] = true;
+    core->on_eos(s);
+  }
+  ASSERT_TRUE(core->done());
+  if (core->detected()) observer(core->token(), -1, true);
+}
+
+class TokenVcInvariants
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, Host>> {};
 
 TEST_P(TokenVcInvariants, Lemma31HoldsAtEveryTokenMove) {
-  const std::uint64_t seed = GetParam();
+  const auto [seed, host] = GetParam();
   workload::RandomSpec spec;
   spec.num_processes = 6;
   spec.num_predicate = 5;
@@ -101,12 +142,18 @@ TEST_P(TokenVcInvariants, Lemma31HoldsAtEveryTokenMove) {
         EXPECT_EQ(tok.color[s], Color::kGreen);
     }
   };
-  run_token_vc(comp, opts(seed + 1), observer);
+  if (host == Host::kSimulator) {
+    run_token_vc(comp, opts(seed + 1), observer);
+  } else {
+    run_token_core(comp, observer);
+  }
   EXPECT_GT(observations, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TokenVcInvariants,
-                         ::testing::Range<std::uint64_t>(0, 12));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, TokenVcInvariants,
+    ::testing::Combine(::testing::Range<std::uint64_t>(0, 12),
+                       ::testing::Values(Host::kSimulator, Host::kCore)));
 
 TEST(TokenVcInvariantsMutex, Lemma31OnDomainWorkload) {
   workload::MutexSpec spec;
