@@ -1,6 +1,5 @@
 #include "detect/batch.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -35,18 +34,11 @@ std::vector<SweepRow> run_sweep(const Computation& comp,
   WCP_REQUIRE(!procs.empty(), "empty predicate");
   // Unknown names fail before any job runs or any lane starts.
   for (const SweepJob& job : jobs) (void)algo(job.algo);
-  if (threads == 0) threads = common::ThreadPool::default_threads();
-  if (jobs.empty()) return {};
-  if (threads <= 1 || jobs.size() == 1) {
-    std::vector<SweepRow> rows;
-    rows.reserve(jobs.size());
-    for (const SweepJob& job : jobs) rows.push_back(run_one(comp, job));
-    return rows;
-  }
-  common::ThreadPool pool(std::min(threads, jobs.size()));
-  return pool.parallel_map<SweepRow>(
-      jobs.size(), [&](std::size_t i) { return run_one(comp, jobs[i]); },
-      /*grain=*/1);
+  if (threads == 0) threads = common::default_threads();
+  std::vector<SweepRow> rows(jobs.size());
+  common::fan_out(jobs.size(), threads,
+                  [&](std::size_t i) { rows[i] = run_one(comp, jobs[i]); });
+  return rows;
 }
 
 std::vector<SweepJob> cross_jobs(const std::vector<std::string>& algos,

@@ -5,8 +5,8 @@
 // (algorithm, seed) jobs against it — every detector on one trace, or one
 // detector across a seed sweep. Each job is independent (every simulator
 // run builds its own sim::Network; the Computation is shared read-only), so
-// the jobs fan out across a common::ThreadPool while the returned rows stay
-// in job order, each row byte-identical to what a serial run produces.
+// the jobs fan out across threads (common::fan_out) while the returned rows
+// stay in job order, each row byte-identical to what a serial run produces.
 //
 // Job algorithms are the names of the algorithm table (detect/algo.h), the
 // wcp_cli --algo vocabulary; each row renders the table's run record. An
@@ -54,10 +54,11 @@ struct SweepRow {
 };
 
 /// Runs every job against `comp`. `threads`: 1 = serial, 0 =
-/// common::ThreadPool::default_threads(), otherwise that many lanes. Rows
-/// are returned in job order and are identical for every thread count.
-/// Throws std::invalid_argument for an unknown job name before any job
-/// runs.
+/// common::default_threads(), otherwise that many lanes. Rows are returned
+/// in job order and are identical for every thread count. Throws
+/// std::invalid_argument for an unknown job name before any job runs; a job
+/// that throws lets the others finish, then its exception (the first in
+/// job order) reaches the caller.
 std::vector<SweepRow> run_sweep(const Computation& comp,
                                 const std::vector<SweepJob>& jobs,
                                 std::size_t threads = 0);

@@ -1,227 +1,224 @@
 #include "detect/direct_dep.h"
 
+#include <deque>
 #include <utility>
 
 #include "app/app_driver.h"
+#include "app/snapshot.h"
 #include "common/error.h"
 
 namespace wcp::detect {
 
-DdMonitor::DdMonitor(Config cfg) : cfg_(std::move(cfg)) {
-  WCP_REQUIRE(cfg_.shared != nullptr, "monitor needs shared detection state");
-  next_red_ = cfg_.initial_next_red;
-}
+DdCore::DdCore(ProcessId self, std::size_t N, bool parallel)
+    : self_(self),
+      parallel_(parallel),
+      next_red_(self.idx() + 1 < N ? self.value() + 1 : -1),
+      has_token_(self.value() == 0) {}
 
-void DdMonitor::on_start() {
-  if (cfg_.starts_with_token) {
-    has_token_ = true;
-    net().bump_token_hops();
+// The Fig. 4 repeat-loop as a pump: poll the candidate's dependences one at
+// a time, then accept it if it survived every poll's raise of G (the token
+// holder commits and hands off), else ask for the next candidate. Only the
+// holder consumes candidates, or any red monitor in the §4.5 mode.
+DdAction DdCore::next() {
+  if (poll_outstanding_) return {};
+  if (polled_ < polls_.size()) {
+    const Dependence& dep = polls_[polled_];
+    WCP_CHECK_MSG(dep.source != self_, "self-dependence is impossible");
+    poll_outstanding_ = true;
+    return {DdAction::kPoll, dep.source.value(), DdPoll{dep.clock, next_red_}};
   }
-  drive();
-}
-
-void DdMonitor::on_packet(sim::Packet&& p) {
-  switch (p.kind) {
-    case MsgKind::kSnapshot: {
-      auto snap = std::any_cast<app::DdSnapshot>(std::move(p.payload));
-      net().monitor_buffer_change(pid(), snap.bytes(), +1);
-      inbox_.push_back(std::move(snap));
-      if (waiting_candidate_) {
-        waiting_candidate_ = false;
-        drive();
-      }
-      break;
-    }
-    case MsgKind::kToken: {
-      WCP_CHECK(!has_token_);
-      // The chain invariant: the token only ever travels to the chain head,
-      // which is red (Lemma 4.2.3).
-      WCP_CHECK(color_ == Color::kRed);
-      has_token_ = true;
-      net().bump_token_hops();
-      drive();
-      break;
-    }
-    case MsgKind::kPoll: {
-      const auto poll = std::any_cast<DdPoll>(p.payload);
-      handle_poll(p.from.pid, poll);
-      break;
-    }
-    case MsgKind::kPollReply: {
-      WCP_CHECK(poll_outstanding_);
-      poll_outstanding_ = false;
-      const auto reply = std::any_cast<DdPollReply>(p.payload);
-      net().add_monitor_work(pid(), 1);
-      if (reply.became_red) next_red_ = p.from.pid.value();
-      ++poll_cursor_;
-      drive();
-      break;
-    }
-    case MsgKind::kControl:
-      eos_ = true;
-      break;
-    default:
-      WCP_CHECK_MSG(false, "DD monitor got " << to_string(p.kind));
+  if (candidate_ > G_) {
+    // A parallel non-holder keeps the candidate until the token visits:
+    // only that visit may take it off the chain.
+    if (!has_token_) return {};
+    G_ = candidate_;
+    color_ = Color::kGreen;
+    has_token_ = false;
+    return {DdAction::kHandoff, next_red_, {}};
   }
+  if (has_token_ || (parallel_ && color_ == Color::kRed))
+    return {DdAction::kCandidate, -1, {}};
+  return {};
 }
 
-// The single state-machine pump. Safe to call at any time; it inspects the
-// monitor's state and performs the next enabled action:
-//   1. wait for an outstanding poll reply,
-//   2. poll the next queued dependence,
-//   3. commit a surviving tentative candidate (token holder only) and hand
-//      the token down the chain,
-//   4. consume candidates from the application stream (token holder, or any
-//      red monitor in the §4.5 parallel mode).
-void DdMonitor::drive() {
-  while (true) {
-    if (poll_outstanding_) return;
-
-    if (poll_cursor_ < poll_queue_.size()) {
-      send_next_poll();
-      return;
-    }
-
-    if (tentative_ > G_) {
-      // All dependences of every candidate up to the tentative one have
-      // been polled; the candidate survived every poll raise of G.
-      if (has_token_) commit_and_handoff();
-      // Parallel non-holders hold the tentative candidate until the token
-      // arrives (only the token visit may remove us from the chain).
-      return;
-    }
-    tentative_ = 0;
-
-    const bool may_consume =
-        has_token_ || (cfg_.parallel && color_ == Color::kRed);
-    if (!may_consume) return;
-
-    // Fig. 4 repeat-loop: receive candidates, accumulating their
-    // dependence lists, until one exceeds the elimination threshold G.
-    if (inbox_.empty()) {
-      waiting_candidate_ = true;
-      return;
-    }
-    waiting_candidate_ = false;
-    app::DdSnapshot snap = std::move(inbox_.front());
-    inbox_.pop_front();
-    net().monitor_buffer_change(pid(), -snap.bytes(), -1);
-    net().add_monitor_work(
-        pid(), 1 + static_cast<std::int64_t>(snap.deps.size()));
-    for (const Dependence& d : snap.deps.items()) poll_queue_.push_back(d);
-    if (snap.clock > G_) tentative_ = snap.clock;
-    // Loop: poll newly queued dependences (or consume further candidates).
-  }
+DdAction DdCore::take_token() {
+  WCP_CHECK(!has_token_);
+  // The token only ever travels to the chain head, which is red (Lemma
+  // 4.2.3).
+  WCP_CHECK(color_ == Color::kRed);
+  has_token_ = true;
+  return next();
 }
 
-void DdMonitor::send_next_poll() {
-  const Dependence& dep = poll_queue_[poll_cursor_];
-  WCP_CHECK_MSG(dep.source != pid(), "self-dependence is impossible");
-  poll_outstanding_ = true;
-  net().add_monitor_work(pid(), 1);
-  send(sim::NodeAddr::monitor(dep.source), MsgKind::kPoll,
-       DdPoll{dep.clock, next_red_}, /*bits=*/2 * 64);
+DdAction DdCore::on_candidate(LamportTime clock,
+                              std::span<const Dependence> deps) {
+  candidate_ = clock;
+  polls_.assign(deps.begin(), deps.end());
+  polled_ = 0;
+  return next();
 }
 
-void DdMonitor::commit_and_handoff() {
-  WCP_CHECK(has_token_ && tentative_ > G_);
-  G_ = tentative_;
-  color_ = Color::kGreen;
-  tentative_ = 0;
-  poll_queue_.clear();
-  poll_cursor_ = 0;
-  has_token_ = false;
-
-  const int next = next_red_;
-  if (cfg_.on_handoff) cfg_.on_handoff(pid(), next);
-
-  if (next < 0) {
-    // Empty red chain: every monitor is green; the distributed G variables
-    // form the first WCP cut (Theorem 4.3). The harness collects them.
-    auto& shared = *cfg_.shared;
-    shared.detected = true;
-    shared.detect_time = net().simulator().now();
-    if (cfg_.halt_apps) {
-      for (std::size_t p = 0; p < cfg_.num_processes; ++p)
-        send(sim::NodeAddr::app(ProcessId(static_cast<int>(p))),
-             MsgKind::kControl, app::Halt{}, /*bits=*/1);
-    } else {
-      net().simulator().stop();
-    }
-    return;
-  }
-  send(sim::NodeAddr::monitor(ProcessId(next)), MsgKind::kToken, DdToken{},
-       /*bits=*/1);
-}
-
-void DdMonitor::handle_poll(ProcessId from, const DdPoll& poll) {
-  net().add_monitor_work(pid(), 1);
+bool DdCore::on_poll(const DdPoll& poll) {
   const Color old = color_;
   if (poll.clock >= G_) {
     color_ = Color::kRed;
     G_ = poll.clock;
-    if (tentative_ != 0 && tentative_ <= G_) tentative_ = 0;  // voided
   }
   const bool became_red = color_ == Color::kRed && old == Color::kGreen;
   if (became_red) next_red_ = poll.next_red;
-  send(sim::NodeAddr::monitor(from), MsgKind::kPollReply,
-       DdPollReply{became_red}, /*bits=*/1);
-  if (cfg_.parallel && color_ == Color::kRed) drive();
+  return became_red;
+}
+
+DdAction DdCore::on_reply(ProcessId from, bool became_red) {
+  WCP_CHECK(poll_outstanding_);
+  poll_outstanding_ = false;
+  if (became_red) next_red_ = from.value();
+  ++polled_;
+  return next();
+}
+
+namespace {
+
+// What the monitors of one installation share.
+struct DdGroup {
+  std::shared_ptr<SharedDetection> shared;
+  std::vector<const DdCore*> cores;
+  DdInspector inspector;
+  bool halt_apps = false;  // distributed breakpoint on detection
+};
+
+// The simulator host of one DdCore: feeds it the candidates its
+// application process sends, turns its actions into packets and charges
+// work, buffer and token-hop metrics.
+class DdMonitor final : public sim::Node {
+ public:
+  DdMonitor(ProcessId self, std::size_t N, bool parallel,
+            std::shared_ptr<const DdGroup> group)
+      : core_(self, N, parallel), group_(std::move(group)) {}
+
+  [[nodiscard]] const DdCore& core() const { return core_; }
+
+  void on_start() override {
+    if (core_.holding_token()) net().bump_token_hops();
+    act(core_.next());
+  }
+
+  void on_packet(sim::Packet&& p) override {
+    switch (p.kind) {
+      case MsgKind::kSnapshot: {
+        auto snap = std::any_cast<app::DdSnapshot>(std::move(p.payload));
+        net().monitor_buffer_change(pid(), snap.bytes(), +1);
+        inbox_.push_back(std::move(snap));
+        act(core_.next());
+        break;
+      }
+      case MsgKind::kToken:
+        net().bump_token_hops();
+        act(core_.take_token());
+        break;
+      case MsgKind::kPoll: {
+        net().add_monitor_work(pid(), 1);
+        const bool red = core_.on_poll(std::any_cast<DdPoll>(p.payload));
+        send(sim::NodeAddr::monitor(p.from.pid), MsgKind::kPollReply,
+             red, /*bits=*/1);
+        act(core_.next());
+        break;
+      }
+      case MsgKind::kPollReply:
+        net().add_monitor_work(pid(), 1);
+        act(core_.on_reply(p.from.pid, std::any_cast<bool>(p.payload)));
+        break;
+      case MsgKind::kControl:  // end of the application's stream
+        break;
+      default:
+        WCP_CHECK_MSG(false, "DD monitor got " << to_string(p.kind));
+    }
+  }
+
+ private:
+  void act(DdAction a) {
+    while (a.kind == DdAction::kCandidate && !inbox_.empty()) {
+      app::DdSnapshot snap = std::move(inbox_.front());
+      inbox_.pop_front();
+      net().monitor_buffer_change(pid(), -snap.bytes(), -1);
+      net().add_monitor_work(
+          pid(), 1 + static_cast<std::int64_t>(snap.deps.size()));
+      a = core_.on_candidate(snap.clock, snap.deps.items());
+    }
+    if (a.kind == DdAction::kPoll) {
+      net().add_monitor_work(pid(), 1);
+      send(sim::NodeAddr::monitor(ProcessId(a.to)), MsgKind::kPoll, a.poll,
+           /*bits=*/2 * 64);
+    } else if (a.kind == DdAction::kHandoff) {
+      handoff(a.to);
+    }
+  }
+
+  void handoff(int next) {
+    const DdGroup& g = *group_;
+    if (g.inspector) g.inspector(g.cores, pid(), next);
+    if (next >= 0) {
+      send(sim::NodeAddr::monitor(ProcessId(next)), MsgKind::kToken,
+           DdToken{}, /*bits=*/1);
+      return;
+    }
+    // Empty red chain: every monitor is green; the distributed G variables
+    // form the first WCP cut (Theorem 4.3). The harness collects them.
+    g.shared->detected = true;
+    g.shared->detect_time = net().simulator().now();
+    if (!g.halt_apps) {
+      net().simulator().stop();
+      return;
+    }
+    for (std::size_t p = 0; p < g.cores.size(); ++p)
+      send(sim::NodeAddr::app(ProcessId(static_cast<int>(p))),
+           MsgKind::kControl, app::Halt{}, /*bits=*/1);
+  }
+
+  DdCore core_;
+  std::shared_ptr<const DdGroup> group_;
+  std::deque<app::DdSnapshot> inbox_;
+};
+
+}  // namespace
+
+void record_dd_cut(DetectionResult& r, const Computation& comp,
+                   const std::vector<const DdCore*>& cores) {
+  for (const DdCore* c : cores) r.full_cut.push_back(c->G());
+  for (const ProcessId p : comp.predicate_processes())
+    r.cut.push_back(r.full_cut[p.idx()]);
 }
 
 DdInstallation install_dd_monitors(sim::Network& net, std::size_t N,
                                    const DdRunOptions& dd, bool halt_apps,
-                                   const DdHandoffObserver& observer) {
+                                   const DdInspector& inspector) {
   WCP_REQUIRE(N >= 1, "need at least one process");
-  DdInstallation inst;
-  inst.shared = std::make_shared<SharedDetection>();
-  inst.monitors.resize(N, nullptr);
+  auto group = std::make_shared<DdGroup>();
+  group->shared = std::make_shared<SharedDetection>();
+  group->inspector = inspector;
+  group->halt_apps = halt_apps;
   for (std::size_t p = 0; p < N; ++p) {
-    DdMonitor::Config mc;
-    mc.num_processes = N;
-    mc.parallel = dd.parallel;
-    mc.halt_apps = halt_apps;
-    mc.starts_with_token = (p == 0);
-    mc.initial_next_red = p + 1 < N ? static_cast<int>(p + 1) : -1;
-    mc.shared = inst.shared;
-    mc.on_handoff = observer;
-    auto mon = std::make_unique<DdMonitor>(std::move(mc));
-    inst.monitors[p] = mon.get();
-    net.add_node(sim::NodeAddr::monitor(ProcessId(static_cast<int>(p))),
-                 std::move(mon));
+    const ProcessId self(static_cast<int>(p));
+    auto mon = std::make_unique<DdMonitor>(self, N, dd.parallel, group);
+    group->cores.push_back(&mon->core());
+    net.add_node(sim::NodeAddr::monitor(self), std::move(mon));
   }
-  return inst;
+  return {group->shared, group->cores};
 }
 
 DetectionResult run_direct_dep(const Computation& comp, const RunOptions& opts,
                                const DdRunOptions& dd,
                                const DdInspector& inspector) {
   const std::size_t N = comp.num_processes();
-
   sim::Network net(network_config(opts, N));
-
-  auto monitors = std::make_shared<std::vector<DdMonitor*>>();
-  DdHandoffObserver observer;
-  if (inspector)
-    observer = [monitors, inspector](ProcessId from, int next) {
-      inspector(*monitors, from, next);
-    };
-
-  auto inst = install_dd_monitors(net, N, dd, opts.halt_on_detect, observer);
-  *monitors = inst.monitors;
+  const auto inst =
+      install_dd_monitors(net, N, dd, opts.halt_on_detect, inspector);
 
   app::AppDriverOptions drv;
   drv.mode = app::Instrumentation::kDirectDependence;
   drv.relay_snapshots = true;
   DetectionResult r = replay(net, comp, drv, opts, *inst.shared);
-  if (r.detected) {
-    r.full_cut.resize(N);
-    for (std::size_t p = 0; p < N; ++p) r.full_cut[p] = (*monitors)[p]->G();
-    const auto preds = comp.predicate_processes();
-    r.cut.resize(preds.size());
-    for (std::size_t s = 0; s < preds.size(); ++s)
-      r.cut[s] = r.full_cut[preds[s].idx()];
-  }
+  if (r.detected) record_dd_cut(r, comp, inst.cores);
   return r;
 }
 

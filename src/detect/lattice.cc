@@ -232,7 +232,7 @@ LatticeResult detect_lattice(const Computation& comp, std::int64_t max_cuts,
                              std::size_t threads) {
   WCP_REQUIRE(!comp.predicate_processes().empty(), "empty predicate");
   // Accepted, thread-invariant: 0 still validates WCP_THREADS.
-  if (threads == 0) (void)common::ThreadPool::default_threads();
+  if (threads == 0) (void)common::default_threads();
   LatticeResult res = detect_lattice_serial(comp, max_cuts);
   res.trace_store = comp.trace_store_stats();
   return res;
@@ -242,7 +242,7 @@ DefinitelyResult detect_definitely(const Computation& comp,
                                    std::int64_t max_cuts,
                                    std::size_t threads) {
   WCP_REQUIRE(!comp.predicate_processes().empty(), "empty predicate");
-  if (threads == 0) (void)common::ThreadPool::default_threads();
+  if (threads == 0) (void)common::default_threads();
   DefinitelyResult res = detect_definitely_serial(comp, max_cuts);
   res.trace_store = comp.trace_store_stats();
   return res;

@@ -16,7 +16,7 @@
 // (detect/sliced.h) is what beats the O(m^n) cost. The `threads` parameter
 // is kept for the callers that still pass it (perfbench/): results are
 // identical for every value, and threads == 0 still resolves
-// common::ThreadPool::default_threads(), so a malformed WCP_THREADS fails
+// common::default_threads(), so a malformed WCP_THREADS fails
 // closed.
 // Cut storage: both detectors keep every visited cut in flat arenas
 // (common/cut_storage.h) — packed 32-bit components, open-addressing

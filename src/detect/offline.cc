@@ -1,10 +1,9 @@
 #include "detect/offline.h"
 
-#include <deque>
 #include <vector>
 
+#include "app/snapshot.h"
 #include "app/snapshot_stream.h"
-#include "clock/dependence.h"
 #include "clock/vector_clock.h"
 #include "common/error.h"
 #include "detect/stream_core.h"
@@ -21,6 +20,27 @@ VectorClock project(const Computation& comp, ProcessId p, StateIndex k) {
   for (std::size_t s = 0; s < preds.size(); ++s)
     c[s] = comp.clock_component(p, k, preds[s]);
   return VectorClock(std::move(c));
+}
+
+// Process p's next §4.1 snapshot from state k on: the first admissible
+// state (every state of a process outside the predicate) with the
+// dependences received up to it. Charges the snapshot's send to `app`;
+// false once p's states run out.
+bool next_snapshot(const Computation& comp, ProcessId p, StateIndex& k,
+                   app::DdSnapshot& snap, Metrics& app) {
+  const bool constrained = comp.predicate_slot(p) >= 0;
+  snap.deps.clear();
+  while (k <= comp.num_states(p)) {
+    const StateIndex s = k++;
+    if (const auto dep = comp.receive_dependence(p, s))
+      snap.deps.add(dep->source, dep->clock);
+    if (!constrained || comp.local_pred(p, s)) {
+      snap.clock = s;
+      app.record_send(p, MsgKind::kSnapshot, snap.bits());
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -80,107 +100,64 @@ DetectionResult detect_token_vc_offline(const Computation& comp) {
   return res;
 }
 
-DetectionResult detect_direct_dep_offline(const Computation& comp) {
+DetectionResult detect_direct_dep_offline(const Computation& comp,
+                                          const DdInspector& inspector) {
   const std::size_t N = comp.num_processes();
 
   DetectionResult res;
-  res.monitor_metrics.resize(N + 1);
+  Metrics& mon = res.monitor_metrics;
+  mon.resize(N + 1);
   res.app_metrics.resize(N);
 
-  // Snapshot stream per process (§4.1): admissible states with the
-  // dependences accumulated since the previous snapshot.
-  struct Snap {
-    LamportTime clock;
-    std::vector<Dependence> deps;
-  };
-  std::vector<std::deque<Snap>> queue(N);
-  for (std::size_t p = 0; p < N; ++p) {
-    const ProcessId pid(static_cast<int>(p));
-    const bool constrained = comp.predicate_slot(pid) >= 0;
-    std::vector<Dependence> pending;
-    for (StateIndex k = 1; k <= comp.num_states(pid); ++k) {
-      if (const auto dep = comp.receive_dependence(pid, k))
-        pending.push_back(*dep);
-      if (!constrained || comp.local_pred(pid, k)) {
-        res.app_metrics.record_send(
-            pid, MsgKind::kSnapshot,
-            64 + static_cast<std::int64_t>(pending.size()) * 2 * 64);
-        queue[p].push_back(Snap{k, std::move(pending)});
-        pending.clear();
-      }
-    }
-  }
-
-  std::vector<Color> color(N, Color::kRed);
-  std::vector<LamportTime> G(N, 0);
-  std::vector<int> next_red(N);
+  // One DdCore per monitor; a poll is a call on the polled core. Costs are
+  // charged where the online run charges them.
+  std::vector<DdCore> cores;
+  std::vector<const DdCore*> view;
+  cores.reserve(N);
   for (std::size_t p = 0; p < N; ++p)
-    next_red[p] = p + 1 < N ? static_cast<int>(p + 1) : -1;
-  int holder = 0;
+    view.push_back(&cores.emplace_back(ProcessId(static_cast<int>(p)), N,
+                                       /*parallel=*/false));
 
-  while (true) {
-    const auto h = static_cast<std::size_t>(holder);
-    const ProcessId hid(holder);
-    WCP_CHECK(color[h] == Color::kRed);
-
-    // Fig. 4 repeat-loop.
-    std::vector<Dependence> deplist;
-    LamportTime accepted = 0;
-    while (true) {
-      if (queue[h].empty()) {
-        res.detected = false;
-        return res;
-      }
-      Snap snap = std::move(queue[h].front());
-      queue[h].pop_front();
-      res.monitor_metrics.add_work(
-          hid, 1 + static_cast<std::int64_t>(snap.deps.size()));
-      deplist.insert(deplist.end(), snap.deps.begin(), snap.deps.end());
-      if (snap.clock > G[h]) {
-        accepted = snap.clock;
+  std::vector<StateIndex> cursor(N, 1);  // each process's next state
+  app::DdSnapshot snap;
+  std::size_t h = 0;  // the token holder
+  for (DdAction a = cores[0].next();;) {
+    const ProcessId hid(static_cast<int>(h));
+    if (a.kind == DdAction::kCandidate) {
+      // The holder's stream has run dry: the token starves.
+      if (!next_snapshot(comp, hid, cursor[h], snap, res.app_metrics)) break;
+      mon.add_work(hid, 1 + static_cast<std::int64_t>(snap.deps.size()));
+      a = cores[h].on_candidate(snap.clock, snap.deps.items());
+    } else if (a.kind == DdAction::kPoll) {
+      // Poll send + reply receipt at the holder, handling at the target.
+      const ProcessId j(a.to);
+      mon.record_send(hid, MsgKind::kPoll, 2 * 64);
+      mon.add_work(hid, 2);
+      mon.add_work(j, 1);
+      const bool became_red = cores[j.idx()].on_poll(a.poll);
+      mon.record_send(j, MsgKind::kPollReply, 1);
+      a = cores[h].on_reply(j, became_red);
+    } else {
+      WCP_CHECK(a.kind == DdAction::kHandoff);
+      if (inspector) inspector(view, hid, a.to);
+      if (a.to < 0) {
+        res.detected = true;
+        record_dd_cut(res, comp, view);
         break;
       }
+      mon.record_send(hid, MsgKind::kToken, 1);
+      mon.bump_token_hops();
+      h = static_cast<std::size_t>(a.to);
+      a = cores[h].take_token();
     }
-    G[h] = accepted;
-    color[h] = Color::kGreen;
-
-    // Poll phase (immediate responses).
-    for (const Dependence& dep : deplist) {
-      const auto j = dep.source.idx();
-      WCP_CHECK(j != h);
-      res.monitor_metrics.record_send(hid, MsgKind::kPoll, 2 * 64);
-      // Same units as the online run: poll send + reply receipt at the
-      // holder, poll handling at the target.
-      res.monitor_metrics.add_work(hid, 2);
-      res.monitor_metrics.add_work(dep.source, 1);
-      const Color old = color[j];
-      if (dep.clock >= G[j]) {
-        color[j] = Color::kRed;
-        G[j] = dep.clock;
-      }
-      const bool became_red = color[j] == Color::kRed && old == Color::kGreen;
-      if (became_red) {
-        next_red[j] = next_red[h];
-        next_red[h] = static_cast<int>(j);
-      }
-      res.monitor_metrics.record_send(dep.source, MsgKind::kPollReply, 1);
-    }
-
-    const int next = next_red[h];
-    if (next < 0) {
-      res.detected = true;
-      res.full_cut.assign(G.begin(), G.end());
-      const auto preds = comp.predicate_processes();
-      res.cut.resize(preds.size());
-      for (std::size_t s = 0; s < preds.size(); ++s)
-        res.cut[s] = res.full_cut[preds[s].idx()];
-      return res;
-    }
-    res.monitor_metrics.record_send(hid, MsgKind::kToken, 1);
-    res.monitor_metrics.bump_token_hops();
-    res.token_hops = res.monitor_metrics.token_hops();
-    holder = next;
   }
+  // The application processes send every snapshot, consumed or not.
+  for (std::size_t p = 0; p < N; ++p)
+    while (next_snapshot(comp, ProcessId(static_cast<int>(p)), cursor[p], snap,
+                         res.app_metrics)) {
+    }
+  res.token_hops = mon.token_hops();
+  return res;
 }
 
 }  // namespace wcp::detect

@@ -1,10 +1,12 @@
 // Offline executions of the paper's algorithms.
 //
-// These run the exact token-passing logic of §3 and §4 directly against the
-// computation's snapshot streams, with message passing replaced by function
-// calls — no simulator, no latency. They detect the same first cut as the
-// online versions (asserted by the differential tests) and are fast enough
-// for large-scale sweeps (hundreds of processes, thousands of states).
+// These host the same state machines as the simulator runs — TokenCore
+// (Fig. 3) and DdCore (Figs. 4-5) — directly against the computation's
+// snapshot streams, with message passing replaced by function calls: no
+// simulator, no latency. They detect the same first cut as the online
+// versions (asserted by the differential tests, and pinned byte for byte
+// by the token-offline/dd-offline golden records) and are fast enough for
+// large-scale sweeps (hundreds of processes, thousands of states).
 //
 // Costs are still accounted: work units per monitor, token hops, message
 // counts (what the online run *would* send), so the offline detectors also
@@ -12,6 +14,7 @@
 // is unnecessary.
 #pragma once
 
+#include "detect/direct_dep.h"
 #include "detect/result.h"
 #include "trace/computation.h"
 
@@ -22,7 +25,10 @@ namespace wcp::detect {
 /// is the one the streaming service runs.
 DetectionResult detect_token_vc_offline(const Computation& comp);
 
-/// §4 direct-dependence algorithm, offline (serial schedule).
-DetectionResult detect_direct_dep_offline(const Computation& comp);
+/// §4 direct-dependence algorithm, offline (serial schedule): a host over
+/// N DdCores (detect/direct_dep.h) that answers each poll by calling the
+/// polled core. `inspector` sees every core at every token handoff.
+DetectionResult detect_direct_dep_offline(const Computation& comp,
+                                          const DdInspector& inspector = {});
 
 }  // namespace wcp::detect

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "detect/offline.h"
 #include "workload/random_workload.h"
 
 namespace wcp::detect {
@@ -170,9 +171,15 @@ TEST(DirectDep, TokenCarriesNoData) {
             r.monitor_metrics.total_messages(MsgKind::kToken));
 }
 
+// The §4 hosts of DdCore: the simulator monitors (serial schedule) and the
+// offline run.
+enum class Host { kSimulator, kOffline };
+
+class DirectDepHosts : public ::testing::TestWithParam<Host> {};
+
 // Red-chain invariant (Lemma 4.2.3): at every handoff, the set of red
 // monitors equals the chain reachable from the new holder.
-TEST(DirectDep, RedChainInvariantHoldsAtEveryHandoff) {
+TEST_P(DirectDepHosts, RedChainInvariantHoldsAtEveryHandoff) {
   workload::RandomSpec spec;
   spec.num_processes = 5;
   spec.num_predicate = 5;
@@ -183,7 +190,7 @@ TEST(DirectDep, RedChainInvariantHoldsAtEveryHandoff) {
   const auto comp = workload::make_random(spec);
 
   int handoffs = 0;
-  auto inspector = [&](const std::vector<DdMonitor*>& monitors, ProcessId from,
+  auto inspector = [&](const std::vector<const DdCore*>& cores, ProcessId from,
                        int next) {
     ++handoffs;
     // Collect the chain starting at `next`.
@@ -191,21 +198,30 @@ TEST(DirectDep, RedChainInvariantHoldsAtEveryHandoff) {
     int cur = next;
     while (cur >= 0) {
       ASSERT_TRUE(chain.insert(cur).second) << "chain has a cycle";
-      cur = monitors[static_cast<std::size_t>(cur)]->next_red();
+      cur = cores[static_cast<std::size_t>(cur)]->next_red();
     }
     // Chain == red set (the sender has just turned green).
-    for (std::size_t p = 0; p < monitors.size(); ++p) {
-      const bool red = monitors[p]->color() == Color::kRed;
+    for (std::size_t p = 0; p < cores.size(); ++p) {
+      const bool red = cores[p]->color() == Color::kRed;
       const bool on_chain = chain.contains(static_cast<int>(p));
       EXPECT_EQ(red, on_chain)
           << "P" << p << " red=" << red << " on_chain=" << on_chain
           << " at handoff from " << from;
     }
   };
-  const auto r = run_direct_dep(comp, opts(), {}, inspector);
+  const auto r = GetParam() == Host::kSimulator
+                     ? run_direct_dep(comp, opts(), {}, inspector)
+                     : detect_direct_dep_offline(comp, inspector);
   ASSERT_TRUE(r.detected);
   EXPECT_GT(handoffs, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Hosts, DirectDepHosts,
+                         ::testing::Values(Host::kSimulator, Host::kOffline),
+                         [](const auto& info) {
+                           return info.param == Host::kSimulator ? "Simulator"
+                                                                 : "Offline";
+                         });
 
 }  // namespace
 }  // namespace wcp::detect

@@ -4,8 +4,11 @@
 // trace and rendered with wall clock stripped and the per-process counter
 // breakdown on — DetectionResult::write_json(false, true) for the
 // simulator-hosted runs, the run report for lattice-online, which has no
-// DetectionResult. Each rendering must equal its line in
-// tests/golden/sim_reports.golden byte for byte, so any change to a
+// DetectionResult. The two offline hosts, detect_token_vc_offline and
+// detect_direct_dep_offline, are not in the algorithm table; the test
+// calls them directly and renders their DetectionResult the same way, as
+// the records token-offline and dd-offline. Each rendering must equal its
+// line in tests/golden/sim_reports.golden byte for byte, so any change to a
 // verdict, cut, message count, bit count, work unit, buffer peak, fault
 // counter or virtual time fails here and names the record.
 //
@@ -25,10 +28,12 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "detect/algo.h"
+#include "detect/offline.h"
 #include "trace/trace_store.h"
 
 namespace wcp::detect {
@@ -62,6 +67,13 @@ std::vector<Config> configs() {
   };
 }
 
+std::string render_result(const DetectionResult& r) {
+  std::ostringstream os;
+  json::Writer w(os, /*indent=*/0);
+  r.write_json(w, /*include_wall_clock=*/false, /*per_process=*/true);
+  return os.str();
+}
+
 std::string render(const Config& c, const Computation& comp) {
   AlgoOptions o;
   o.run.seed = 1;
@@ -71,13 +83,10 @@ std::string render(const Config& c, const Computation& comp) {
                  ? c.groups
                  : static_cast<int>(comp.predicate_processes().size());
   const AlgoRun r = run_algo(c.algo, comp, o);
+  if (r.sim) return render_result(*r.sim);
   std::ostringstream os;
   json::Writer w(os, /*indent=*/0);
-  if (r.sim) {
-    r.sim->write_json(w, /*include_wall_clock=*/false, /*per_process=*/true);
-  } else {
-    r.write_report(w, c.label, /*include_wall_clock=*/false);
-  }
+  r.write_report(w, c.label, /*include_wall_clock=*/false);
   return os.str();
 }
 
@@ -131,9 +140,15 @@ TEST(GoldenReports, SimulatorReportsMatchCommittedGoldens) {
   std::size_t produced = 0;
   for (const auto& path : traces) {
     const auto comp = load_any_trace_file(path.string());
-    for (const Config& c : configs()) {
-      const std::string name = c.label + " " + path.filename().string();
-      const std::string got = render(c, comp);
+    std::vector<std::pair<std::string, std::string>> records;
+    for (const Config& c : configs())
+      records.emplace_back(c.label, render(c, comp));
+    records.emplace_back("token-offline",
+                         render_result(detect_token_vc_offline(comp)));
+    records.emplace_back("dd-offline",
+                         render_result(detect_direct_dep_offline(comp)));
+    for (const auto& [label, got] : records) {
+      const std::string name = label + " " + path.filename().string();
       ++produced;
       const auto it = golden.find(name);
       if (it != golden.end() && it->second == got) continue;

@@ -198,7 +198,7 @@ TEST(Instrument, LiveDirectDependenceDetectionMatchesRecordedOracle) {
     ASSERT_EQ(inst.shared->detected, oracle.has_value()) << "seed " << seed;
     if (oracle) {
       for (std::size_t p = 0; p < 2; ++p)
-        EXPECT_EQ(inst.monitors[p]->G(), (*oracle)[p]) << "seed " << seed;
+        EXPECT_EQ(inst.cores[p]->G(), (*oracle)[p]) << "seed " << seed;
     }
   }
 }

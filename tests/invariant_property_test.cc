@@ -1,7 +1,9 @@
 // Online verification of the paper's correctness lemmas (DESIGN.md I1-I3,
 // I5): observer hooks fire at every token movement and check the token
 // state against the ground-truth causality of the computation. Lemma 3.1
-// is checked on both Fig. 3 hosts: the simulator monitors and TokenCore.
+// is checked on both Fig. 3 hosts (the simulator monitors and TokenCore),
+// the §4 candidate bounds on both DdCore hosts (the simulator monitors and
+// the offline run).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -10,6 +12,7 @@
 
 #include "app/snapshot_stream.h"
 #include "detect/direct_dep.h"
+#include "detect/offline.h"
 #include "detect/stream_core.h"
 #include "detect/token_vc.h"
 #include "workload/mutex_workload.h"
@@ -81,8 +84,9 @@ void check_lemma_3_1(const Computation& comp, const VcToken& tok,
     }
 }
 
-// The Fig. 3 hosts the lemma is checked on: the simulator monitors
-// (TokenVcMonitor) and the offline TokenCore host.
+// The hosts the invariants are checked on: the simulator monitors
+// (TokenVcMonitor, DdMonitor) and the offline core hosts (TokenCore, the
+// DdCores of detect_direct_dep_offline).
 enum class Host { kSimulator, kCore };
 
 // The offline TokenCore host (as detect_token_vc_offline runs it): every
@@ -169,13 +173,15 @@ TEST(TokenVcInvariantsMutex, Lemma31OnDomainWorkload) {
   run_token_vc(mc.computation, opts(9), observer);
 }
 
-// Direct-dependence invariants at every handoff (serial mode, where the
-// chain is quiescent at handoff): the candidate cut never overshoots the
+// Direct-dependence invariants at every handoff, on both DdCore hosts: the
+// simulator monitors (serial mode, where the chain is quiescent at
+// handoff) and the offline run. The candidate cut never overshoots the
 // first full cut, and red candidates are strictly behind it.
-class DdInvariants : public ::testing::TestWithParam<std::uint64_t> {};
+class DdInvariants
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, Host>> {};
 
 TEST_P(DdInvariants, CandidatesNeverOvershootFirstCut) {
-  const std::uint64_t seed = GetParam();
+  const auto [seed, host] = GetParam();
   workload::RandomSpec spec;
   spec.num_processes = 5;
   spec.num_predicate = 4;
@@ -185,24 +191,33 @@ TEST_P(DdInvariants, CandidatesNeverOvershootFirstCut) {
   const auto comp = workload::make_random(spec);
   const auto first_full = comp.first_wcp_cut_all_processes();
 
-  auto inspector = [&](const std::vector<DdMonitor*>& monitors, ProcessId,
+  int handoffs = 0;
+  auto inspector = [&](const std::vector<const DdCore*>& cores, ProcessId,
                        int) {
+    ++handoffs;
     if (!first_full) return;
-    for (std::size_t p = 0; p < monitors.size(); ++p) {
-      const auto* m = monitors[p];
-      if (m->color() == Color::kRed) {
+    for (std::size_t p = 0; p < cores.size(); ++p) {
+      const DdCore& c = *cores[p];
+      if (c.color() == Color::kRed) {
         // Eliminated-through threshold must stay strictly below the cut.
-        EXPECT_LT(m->G(), (*first_full)[p]) << "seed=" << seed << " P" << p;
+        EXPECT_LT(c.G(), (*first_full)[p]) << "seed=" << seed << " P" << p;
       } else {
-        EXPECT_LE(m->G(), (*first_full)[p]) << "seed=" << seed << " P" << p;
+        EXPECT_LE(c.G(), (*first_full)[p]) << "seed=" << seed << " P" << p;
       }
     }
   };
-  run_direct_dep(comp, opts(seed + 1), {}, inspector);
+  if (host == Host::kSimulator) {
+    run_direct_dep(comp, opts(seed + 1), {}, inspector);
+  } else {
+    detect_direct_dep_offline(comp, inspector);
+  }
+  EXPECT_GT(handoffs, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DdInvariants,
-                         ::testing::Range<std::uint64_t>(0, 12));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DdInvariants,
+    ::testing::Combine(::testing::Range<std::uint64_t>(0, 12),
+                       ::testing::Values(Host::kSimulator, Host::kCore)));
 
 }  // namespace
 }  // namespace wcp::detect

@@ -4,8 +4,9 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace wcp::common {
@@ -13,11 +14,11 @@ namespace {
 
 TEST(ThreadPool, DefaultThreadsHonorsEnvOverride) {
   ::setenv("WCP_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::default_threads(), 3u);
+  EXPECT_EQ(default_threads(), 3u);
   ::setenv("WCP_THREADS", "1", 1);
-  EXPECT_EQ(ThreadPool::default_threads(), 1u);
+  EXPECT_EQ(default_threads(), 1u);
   ::unsetenv("WCP_THREADS");
-  EXPECT_GE(ThreadPool::default_threads(), 1u);
+  EXPECT_GE(default_threads(), 1u);
 }
 
 TEST(ThreadPool, DefaultThreadsRejectsInvalidEnvValues) {
@@ -27,98 +28,56 @@ TEST(ThreadPool, DefaultThreadsRejectsInvalidEnvValues) {
   for (const char* bad : {"0", "-1", "-8", " ", "4x", "x4", "garbage",
                           "1e3", "0x4", "99999999999999999999"}) {
     ::setenv("WCP_THREADS", bad, 1);
-    EXPECT_THROW(ThreadPool::default_threads(), std::invalid_argument)
+    EXPECT_THROW(default_threads(), std::invalid_argument)
         << "WCP_THREADS=\"" << bad << "\" should be rejected";
   }
   // An empty value means unset, matching the shell's `WCP_THREADS= cmd`.
   ::setenv("WCP_THREADS", "", 1);
-  EXPECT_GE(ThreadPool::default_threads(), 1u);
+  EXPECT_GE(default_threads(), 1u);
   ::unsetenv("WCP_THREADS");
 }
 
-TEST(ThreadPool, SingleLanePoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<int> hits{0};
-  pool.submit([&] { ++hits; });
-  EXPECT_EQ(hits.load(), 1);  // no workers: submit executes synchronously
+TEST(ThreadPool, SingleLaneRunsInOrderOnCaller) {
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  fan_out(5, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
+TEST(ThreadPool, FanOutRunsEveryJobOnce) {
   for (std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
     std::vector<std::atomic<int>> seen(1000);
-    pool.parallel_for(seen.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) ++seen[i];
-    });
+    fan_out(seen.size(), threads, [&](std::size_t i) { ++seen[i]; });
     for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
   }
+  fan_out(0, 4, [](std::size_t) { FAIL() << "no job to run"; });
 }
 
-TEST(ThreadPool, ParallelMapPreservesSubmissionOrder) {
+TEST(ThreadPool, ResultsLandInJobOrder) {
   for (std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const auto out = pool.parallel_map<std::size_t>(
-        257, [](std::size_t i) { return i * i; });
-    ASSERT_EQ(out.size(), 257u);
+    std::vector<std::size_t> out(257);
+    fan_out(out.size(), threads, [&](std::size_t i) { out[i] = i * i; });
     for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
   }
 }
 
-TEST(ThreadPool, ParallelReduceMatchesSerialFold) {
-  std::vector<int> xs(1234);
-  std::iota(xs.begin(), xs.end(), 1);
-  const long expect = std::accumulate(xs.begin(), xs.end(), 0L);
-  for (std::size_t threads : {1u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    const long got = pool.parallel_reduce<long>(
-        xs.size(), 0L, [&](long& acc, std::size_t i) { acc += xs[i]; },
-        [](long& a, long& b) { a += b; });
-    EXPECT_EQ(got, expect);
+TEST(ThreadPool, FirstExceptionInJobOrderPropagates) {
+  for (std::size_t threads : {1u, 4u}) {
+    std::atomic<int> ran{0};
+    try {
+      fan_out(100, threads, [&](std::size_t i) {
+        ++ran;
+        if (i >= 50 && i % 10 == 3) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "53");
+    }
+    EXPECT_EQ(ran.load(), 100);  // the other jobs still finished
   }
-}
-
-TEST(ThreadPool, ExceptionPropagatesToCaller) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [](std::size_t b, std::size_t) {
-                          if (b >= 50) throw std::runtime_error("boom");
-                        },
-                        /*grain=*/1),
-      std::runtime_error);
-  // The pool survives a failed job and keeps serving work.
-  const auto out =
-      pool.parallel_map<int>(8, [](std::size_t i) { return static_cast<int>(i); });
-  EXPECT_EQ(out.size(), 8u);
-}
-
-TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  pool.parallel_for(
-      8,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          // Inner fan-out on the same pool: the caller lane participates,
-          // so exhausted queues cannot deadlock the outer job.
-          ThreadPool inner(2);
-          inner.parallel_for(16, [&](std::size_t ib, std::size_t ie) {
-            total += static_cast<int>(ie - ib);
-          });
-        }
-      },
-      /*grain=*/1);
-  EXPECT_EQ(total.load(), 8 * 16);
-}
-
-TEST(ThreadPool, SubmittedTasksDrainOnDestruction) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 64; ++i) pool.submit([&] { ++done; });
-  }  // destructor joins workers after the queues drain
-  EXPECT_EQ(done.load(), 64);
 }
 
 }  // namespace
