@@ -69,7 +69,7 @@ class Worker final : public sim::Node {
   }
 
   void on_packet(sim::Packet&& p) override {
-    auto job = std::any_cast<JobMsg>(std::move(p.payload));
+    auto job = sim::payload_cast<JobMsg>(std::move(p.payload));
     inst_->on_receive(p.from.pid, job.hdr);
     inst_->set_predicate(false);  // busy
     queue_.push_back(job.payload);
@@ -109,7 +109,7 @@ class Collector final : public sim::Node {
   explicit Collector(app::Instrument::Config icfg) : icfg_(std::move(icfg)) {}
   void on_start() override { inst_.emplace(net(), pid(), icfg_); }
   void on_packet(sim::Packet&& p) override {
-    auto msg = std::any_cast<JobMsg>(std::move(p.payload));
+    auto msg = sim::payload_cast<JobMsg>(std::move(p.payload));
     inst_->on_receive(p.from.pid, msg.hdr);
     ++collected_;
   }

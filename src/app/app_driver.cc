@@ -1,5 +1,6 @@
 #include "app/app_driver.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "app/snapshot.h"
@@ -73,8 +74,8 @@ void AppDriver::emit_snapshot_if_needed() {
     const std::int64_t bits = snap.bits();
     send(opts_.monitor, MsgKind::kSnapshot, std::move(snap), bits);
   } else {
-    DdSnapshot snap{clock_, deps_};
-    deps_.clear();
+    DdSnapshot snap{clock_, std::move(deps_)};
+    deps_.clear();  // a moved-from list is valid but unspecified
     const std::int64_t bits = snap.bits();
     send(opts_.monitor, MsgKind::kSnapshot, std::move(snap), bits);
   }
@@ -128,10 +129,12 @@ void AppDriver::step() {
   }
 
   // Receive: wait until the scripted message has arrived.
-  auto it = pending_.find(ev.msg);
+  const auto it = std::find_if(pending_.begin(), pending_.end(),
+                               [&](const AppMessage& m) { return m.id == ev.msg; });
   if (it == pending_.end()) return;  // on_packet will resume us
-  AppMessage msg = std::move(it->second);
-  pending_.erase(it);
+  AppMessage msg = std::move(*it);
+  if (it + 1 != pending_.end()) *it = std::move(pending_.back());
+  pending_.pop_back();
 
   const ProcessId msg_src = comp_.message(ev.msg).from;
   if (opts_.include_channel_counts) ++recv_from_[msg_src.idx()];
@@ -166,9 +169,9 @@ void AppDriver::on_packet(sim::Packet&& p) {
   }
   WCP_CHECK_MSG(p.kind == MsgKind::kApplication,
                 "application process got unexpected " << to_string(p.kind));
-  auto msg = std::any_cast<AppMessage>(std::move(p.payload));
+  auto msg = sim::payload_cast<AppMessage>(std::move(p.payload));
   ++arrived_from_[comp_.message(msg.id).from.idx()];
-  pending_.emplace(msg.id, std::move(msg));
+  pending_.push_back(std::move(msg));
   // If the script is blocked on this receive, resume.
   if (!step_scheduled_) schedule_step();
 }
@@ -177,16 +180,16 @@ void AppDriver::on_packet(sim::Packet&& p) {
 // Chandy-Lamport participation (reference [2]; detect/chandy_lamport.h).
 
 void AppDriver::cl_on_control(ProcessId from, const sim::Packet& p) {
-  if (std::any_cast<Halt>(&p.payload) != nullptr) {
+  if (sim::payload_cast<Halt>(&p.payload) != nullptr) {
     halted_ = true;  // freeze in the current state (Miller-Choi [11])
     return;
   }
-  if (const auto* init = std::any_cast<ClInitiate>(&p.payload)) {
+  if (const auto* init = sim::payload_cast<ClInitiate>(&p.payload)) {
     cl_record(init->round);
     cl_check_complete();  // N == 1 edge case
     return;
   }
-  const auto marker = std::any_cast<ClMarker>(p.payload);
+  const auto marker = sim::payload_cast<ClMarker>(p.payload);
   // Markers are ordered relative to *consumed* application messages: defer
   // this marker until every message from `from` that arrived before it has
   // been consumed by the script.

@@ -10,7 +10,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "clock/dependence.h"
 #include "clock/vector_clock.h"
@@ -48,6 +48,8 @@ struct AppMessage {
     return vclock.empty() ? 64 : vclock.bits();
   }
 };
+
+static_assert(sim::Payload::fits_inline<AppMessage>);
 
 struct AppDriverOptions {
   Instrumentation mode = Instrumentation::kVectorClock;
@@ -111,8 +113,9 @@ class AppDriver final : public sim::Node {
   LamportTime clock_ = 1;
   DependenceList deps_;
 
-  // Messages that arrived before the script is ready to consume them.
-  std::unordered_map<MessageId, AppMessage> pending_;
+  // Messages that arrived before the script is ready to consume them
+  // (unordered; found by id, removed by swap-pop).
+  std::vector<AppMessage> pending_;
   bool step_scheduled_ = false;
   bool eos_sent_ = false;
   bool halted_ = false;

@@ -7,6 +7,7 @@
 #include "clock/dependence.h"
 #include "clock/vector_clock.h"
 #include "common/types.h"
+#include "sim/payload.h"
 
 namespace wcp::app {
 
@@ -49,6 +50,10 @@ struct DdSnapshot {
 /// exhausted. Extension over the paper (see DESIGN.md §2.4): lets online
 /// detectors terminate with "not detected" instead of blocking forever.
 struct EndOfStream {};
+
+// Every snapshot travels inside the packet's inline payload buffer.
+static_assert(sim::Payload::fits_inline<VcSnapshot>);
+static_assert(sim::Payload::fits_inline<DdSnapshot>);
 
 /// Distributed-breakpoint request (the Miller-Choi [11] use case): freezes
 /// an application process in its current state. Sent by detection monitors

@@ -32,7 +32,7 @@ void CentralizedChecker::on_packet(sim::Packet&& p) {
                 "checker got unexpected " << to_string(p.kind));
   if (p.kind == MsgKind::kControl) return;  // end-of-stream marker
 
-  auto snap = std::any_cast<app::VcSnapshot>(std::move(p.payload));
+  auto snap = sim::payload_cast<app::VcSnapshot>(std::move(p.payload));
   // All buffering happens at the checker: this is precisely the O(n^2 m)
   // space concentration the distributed algorithm removes (§3.4).
   const ProcessId coord(static_cast<int>(net().num_processes()));

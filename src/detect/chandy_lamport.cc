@@ -44,7 +44,7 @@ class ClCollector final : public sim::Node {
   void on_packet(sim::Packet&& p) override {
     WCP_CHECK_MSG(p.kind == MsgKind::kControl,
                   "CL coordinator got " << to_string(p.kind));
-    auto report = std::any_cast<app::ClReport>(std::move(p.payload));
+    auto report = sim::payload_cast<app::ClReport>(std::move(p.payload));
     WCP_CHECK_MSG(report.round == round_, "report from a stale round");
     const auto idx = report.pid.idx();
     WCP_CHECK(!reports_[idx].has_value());

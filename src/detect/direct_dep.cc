@@ -106,7 +106,7 @@ class DdMonitor final : public sim::Node {
   void on_packet(sim::Packet&& p) override {
     switch (p.kind) {
       case MsgKind::kSnapshot: {
-        auto snap = std::any_cast<app::DdSnapshot>(std::move(p.payload));
+        auto snap = sim::payload_cast<app::DdSnapshot>(std::move(p.payload));
         net().monitor_buffer_change(pid(), snap.bytes(), +1);
         inbox_.push_back(std::move(snap));
         act(core_.next());
@@ -118,7 +118,7 @@ class DdMonitor final : public sim::Node {
         break;
       case MsgKind::kPoll: {
         net().add_monitor_work(pid(), 1);
-        const bool red = core_.on_poll(std::any_cast<DdPoll>(p.payload));
+        const bool red = core_.on_poll(sim::payload_cast<DdPoll>(p.payload));
         send(sim::NodeAddr::monitor(p.from.pid), MsgKind::kPollReply,
              red, /*bits=*/1);
         act(core_.next());
@@ -126,7 +126,7 @@ class DdMonitor final : public sim::Node {
       }
       case MsgKind::kPollReply:
         net().add_monitor_work(pid(), 1);
-        act(core_.on_reply(p.from.pid, std::any_cast<bool>(p.payload)));
+        act(core_.on_reply(p.from.pid, sim::payload_cast<bool>(p.payload)));
         break;
       case MsgKind::kControl:  // end of the application's stream
         break;

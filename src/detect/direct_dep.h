@@ -57,6 +57,7 @@ struct DdPoll {
   LamportTime clock = 0;
   int next_red = -1;
 };
+static_assert(sim::Payload::fits_inline<DdPoll>);
 
 /// What a DdCore asks its host to do next.
 struct DdAction {

@@ -18,7 +18,7 @@ void GcpChecker::on_packet(sim::Packet&& p) {
                 "GCP checker got unexpected " << to_string(p.kind));
   if (p.kind == MsgKind::kControl) return;
 
-  auto snap = std::any_cast<app::VcSnapshot>(std::move(p.payload));
+  auto snap = sim::payload_cast<app::VcSnapshot>(std::move(p.payload));
   WCP_CHECK_MSG(!snap.sent_to.empty(),
                 "GCP checker needs channel-count snapshots");
   const ProcessId coord(static_cast<int>(net().num_processes()));

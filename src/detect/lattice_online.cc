@@ -25,7 +25,7 @@ void LatticeChecker::on_packet(sim::Packet&& p) {
                 "lattice checker got unexpected " << to_string(p.kind));
   if (p.kind == MsgKind::kControl || core_->truncated()) return;
 
-  auto snap = std::any_cast<app::VcSnapshot>(std::move(p.payload));
+  auto snap = sim::payload_cast<app::VcSnapshot>(std::move(p.payload));
   const ProcessId coord(static_cast<int>(net().num_processes()));
   net().monitor_buffer_change(coord, snap.bytes(), +1);
 

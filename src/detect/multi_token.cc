@@ -29,7 +29,7 @@ void MultiTokenLeader::on_packet(sim::Packet&& p) {
   if (p.kind == MsgKind::kControl) {
     const SimTime now = net().simulator().now();
     if (p.payload.type() == typeid(TokenHeartbeat)) {
-      const auto hb = std::any_cast<TokenHeartbeat>(std::move(p.payload));
+      const auto hb = sim::payload_cast<TokenHeartbeat>(std::move(p.payload));
       const auto g = static_cast<std::size_t>(hb.group);
       if (hb.group >= 0 && g < outstanding_group_.size() &&
           outstanding_group_[g] && hb.incarnation == incarnation_[g])
@@ -37,7 +37,7 @@ void MultiTokenLeader::on_packet(sim::Packet&& p) {
       return;
     }
     if (p.payload.type() == typeid(TokenStarved)) {
-      const auto st = std::any_cast<TokenStarved>(std::move(p.payload));
+      const auto st = sim::payload_cast<TokenStarved>(std::move(p.payload));
       const auto g = static_cast<std::size_t>(st.group);
       if (st.group >= 0 && g < outstanding_group_.size() &&
           st.incarnation == incarnation_[g]) {
@@ -50,7 +50,7 @@ void MultiTokenLeader::on_packet(sim::Packet&& p) {
   }
   WCP_CHECK_MSG(p.kind == MsgKind::kToken,
                 "leader got unexpected " << to_string(p.kind));
-  auto tok = std::any_cast<VcToken>(std::move(p.payload));
+  auto tok = sim::payload_cast<VcToken>(std::move(p.payload));
   net().bump_token_hops();
   // A group token only ever advances information: member slots change
   // under the single-token rules, other slots only turn red at a raised G

@@ -47,7 +47,7 @@ void TokenVcMonitor::on_restart() {
 void TokenVcMonitor::on_packet(sim::Packet&& p) {
   switch (p.kind) {
     case MsgKind::kSnapshot: {
-      auto snap = std::any_cast<app::VcSnapshot>(std::move(p.payload));
+      auto snap = sim::payload_cast<app::VcSnapshot>(std::move(p.payload));
       net().monitor_buffer_change(pid(), snap.bytes(), +1);
       inbox_.push_back(std::move(snap));
       if (waiting_) process_token();
@@ -75,7 +75,7 @@ void TokenVcMonitor::on_packet(sim::Packet&& p) {
 }
 
 void TokenVcMonitor::on_token(sim::Packet&& p) {
-  auto in = std::any_cast<VcToken>(std::move(p.payload));
+  auto in = sim::payload_cast<VcToken>(std::move(p.payload));
   net().bump_token_hops();
   const auto s = static_cast<std::size_t>(cfg_.slot);
   if (!cfg_.recovery.enabled) {

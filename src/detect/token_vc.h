@@ -32,6 +32,8 @@
 
 namespace wcp::detect {
 
+static_assert(sim::Payload::fits_inline<VcToken>);
+
 // ---- recovery control payloads (MsgKind::kControl) -----------------------
 
 /// Holder -> guardian: the token moved on (or starved); drop the checkpoint

@@ -5,8 +5,8 @@
 // leader or the centralized checker). A NodeAddr names any of them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 
 #include "common/types.h"
@@ -40,11 +40,3 @@ struct NodeAddr {
 std::ostream& operator<<(std::ostream& os, const NodeAddr& a);
 
 }  // namespace wcp::sim
-
-template <>
-struct std::hash<wcp::sim::NodeAddr> {
-  std::size_t operator()(const wcp::sim::NodeAddr& a) const noexcept {
-    return (static_cast<std::size_t>(a.role) << 24) ^
-           std::hash<wcp::ProcessId>{}(a.pid);
-  }
-};

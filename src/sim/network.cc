@@ -13,7 +13,7 @@ Network& Node::net() const {
   return *net_;
 }
 
-void Node::send(NodeAddr to, MsgKind kind, std::any payload,
+void Node::send(NodeAddr to, MsgKind kind, Payload&& payload,
                 std::int64_t bits) {
   net().send(addr_, to, kind, std::move(payload), bits);
 }
@@ -30,6 +30,11 @@ Network::Network(NetworkConfig cfg)
       // one extra monitor-layer slot for a coordinator node
       monitor_metrics_(cfg.num_processes + 1) {
   WCP_REQUIRE(cfg.num_processes >= 1, "network needs at least one process");
+  const std::size_t table = 2 * cfg_.num_processes + 1;
+  nodes_.resize(table);
+  down_.assign(table, 0);
+  restart_at_.assign(table, -1);
+  sim_.set_host(this);
   drop_exact_.insert(cfg_.faults.drop_exact.begin(),
                      cfg_.faults.drop_exact.end());
   if (cfg_.reliable_all || cfg_.reliable_channels)
@@ -38,17 +43,31 @@ Network::Network(NetworkConfig cfg)
 
 Network::~Network() = default;
 
+std::size_t Network::index_of(NodeAddr a) const {
+  if (a.role == NodeRole::kCoordinator)
+    return a == NodeAddr::coordinator() ? a.index(cfg_.num_processes)
+                                        : kNoIndex;
+  if (a.pid.value() < 0 || a.pid.idx() >= cfg_.num_processes) return kNoIndex;
+  return a.index(cfg_.num_processes);
+}
+
 void Network::add_node(NodeAddr addr, std::unique_ptr<Node> node) {
   WCP_REQUIRE(node != nullptr, "null node");
-  WCP_REQUIRE(!nodes_.contains(addr), "duplicate node at " << addr);
+  const std::size_t i = index_of(addr);
+  WCP_REQUIRE(i != kNoIndex, "node address " << addr << " (pid "
+                                             << addr.pid.value()
+                                             << ") outside a network of "
+                                             << cfg_.num_processes
+                                             << " processes");
+  WCP_REQUIRE(nodes_[i] == nullptr, "duplicate node at " << addr);
   node->net_ = this;
   node->addr_ = addr;
-  nodes_.emplace(addr, std::move(node));
+  nodes_[i] = std::move(node);
 }
 
 Node* Network::node(NodeAddr addr) {
-  auto it = nodes_.find(addr);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  const std::size_t i = index_of(addr);
+  return i == kNoIndex ? nullptr : nodes_[i].get();
 }
 
 void Network::start_and_run(std::int64_t max_events) {
@@ -58,30 +77,30 @@ void Network::start_and_run(std::int64_t max_events) {
     for (const CrashEvent& ev : cfg_.faults.crashes) {
       // A plan may name roles this detector variant does not instantiate
       // (e.g. a coordinator crash against the single-token runner).
-      if (!nodes_.contains(ev.node)) continue;
-      if (ev.restart >= 0) restart_at_[ev.node] = ev.restart;
-      sim_.schedule_at(ev.at, [this, ev] {
-        if (down_.contains(ev.node)) return;  // overlapping windows
-        set_down(ev.node, true);
+      Node* const target = node(ev.node);
+      if (target == nullptr) continue;
+      const std::size_t i = index_of(ev.node);
+      if (ev.restart >= 0) restart_at_[i] = ev.restart;
+      sim_.schedule_at(ev.at, [this, i, target] {
+        if (down_[i]) return;  // overlapping windows
+        down_[i] = 1;
         ++fault_counters_.crashes;
-        nodes_.at(ev.node)->on_crash();
+        target->on_crash();
       });
       if (ev.restart >= 0) {
-        sim_.schedule_at(ev.restart, [this, ev] {
-          if (!down_.contains(ev.node)) return;
-          set_down(ev.node, false);
+        sim_.schedule_at(ev.restart, [this, i, target] {
+          if (!down_[i]) return;
+          down_[i] = 0;
           ++fault_counters_.restarts;
-          nodes_.at(ev.node)->on_restart();
+          target->on_restart();
         });
       }
     }
   }
-  // Deterministic start order: sort addresses.
-  std::vector<NodeAddr> addrs;
-  addrs.reserve(nodes_.size());
-  for (const auto& [a, _] : nodes_) addrs.push_back(a);
-  std::sort(addrs.begin(), addrs.end());
-  for (NodeAddr a : addrs) nodes_.at(a)->on_start();
+  // Deterministic start order: the dense index order is address order
+  // (applications, then monitors, each by pid, then the coordinator).
+  for (const auto& n : nodes_)
+    if (n != nullptr) n->on_start();
   sim_.run(max_events);
   wall_ms_ += std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall_start)
@@ -112,30 +131,40 @@ bool Network::is_reliable(NodeAddr from, NodeAddr to) const {
 }
 
 void Network::node_after(NodeAddr who, SimTime delay, std::function<void()> fn) {
-  sim_.schedule_after(delay, [this, who, fn = std::move(fn)]() mutable {
-    if (is_down(who)) {
-      const auto it = restart_at_.find(who);
-      if (it == restart_at_.end()) return;  // crashed for good: timer dies
-      const SimTime wait = it->second - sim_.now();
-      // Re-queue at the restart instant; the restart event carries an older
-      // sequence number, so on_restart runs before any deferred timer.
-      node_after(who, wait > 0 ? wait : 0, std::move(fn));
+  sim_.schedule_event(sim_.now() + delay, EventKind::kTimer,
+                      timers_.put(Timer{who, std::move(fn)}));
+}
+
+void Network::fire(EventKind kind, std::uint32_t slot) {
+  if (kind == EventKind::kTimer) {
+    fire_timer(slot);
+    return;
+  }
+  deliver(std::move(packets_[slot]));
+  packets_.release(slot);
+}
+
+void Network::fire_timer(std::uint32_t slot) {
+  const NodeAddr who = timers_[slot].who;
+  if (is_down(who)) {
+    const SimTime restart = restart_at_[index_of(who)];
+    if (restart < 0) {  // crashed for good: timer dies
+      timers_.release(slot);
       return;
     }
-    fn();
-  });
+    // Re-queue at the restart instant; the restart event carries an older
+    // sequence number, so on_restart runs before any deferred timer.
+    sim_.schedule_event(std::max(restart, sim_.now()), EventKind::kTimer, slot);
+    return;
+  }
+  timers_[slot].fn();
+  timers_.release(slot);
 }
 
-void Network::set_down(NodeAddr a, bool down) {
-  if (down)
-    down_.insert(a);
-  else
-    down_.erase(a);
-}
-
-void Network::send(NodeAddr from, NodeAddr to, MsgKind kind, std::any payload,
+void Network::send(NodeAddr from, NodeAddr to, MsgKind kind, Payload&& payload,
                    std::int64_t bits) {
-  WCP_REQUIRE(nodes_.contains(to), "send to unknown node " << to);
+  WCP_REQUIRE(index_of(from) != kNoIndex, "send from outside the network: " << from);
+  WCP_REQUIRE(node(to) != nullptr, "send to unknown node " << to);
   if (is_reliable(from, to)) {
     transport_->send(from, to, kind, std::move(payload), bits);
     return;
@@ -171,8 +200,8 @@ bool Network::fault_dropped(NodeAddr from, NodeAddr to) {
 }
 
 void Network::raw_send(NodeAddr from, NodeAddr to, MsgKind kind,
-                       std::any payload, std::int64_t bits) {
-  WCP_REQUIRE(nodes_.contains(to), "send to unknown node " << to);
+                       Payload&& payload, std::int64_t bits) {
+  WCP_REQUIRE(node(to) != nullptr, "send to unknown node " << to);
 
   // Account every physical transmission against the proper layer, so that
   // retransmits and acks show up as real overhead in the measured costs.
@@ -207,19 +236,23 @@ void Network::raw_send(NodeAddr from, NodeAddr to, MsgKind kind,
   for (int c = 0; c < copies; ++c) {
     SimTime deliver_at = sim_.now() + model.sample(rng_);
     if (clamp) {
-      const std::size_t span = 2 * cfg_.num_processes + 1;
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(from.index(cfg_.num_processes)) * span +
-          to.index(cfg_.num_processes);
-      auto& last = fifo_last_[key];
+      const std::size_t span = nodes_.size();
+      if (fifo_last_.empty()) fifo_last_.assign(span * span, 0);
+      SimTime& last = fifo_last_[index_of(from) * span + index_of(to)];
       deliver_at = std::max(deliver_at, last + 1);
       last = deliver_at;
     }
-    Packet p{from, to, kind, bits,
-             c + 1 < copies ? payload : std::move(payload)};
-    sim_.schedule_at(deliver_at, [this, pkt = std::move(p)]() mutable {
-      deliver(std::move(pkt));
-    });
+    const std::uint32_t slot = packets_.acquire();
+    Packet& p = packets_[slot];
+    p.from = from;
+    p.to = to;
+    p.kind = kind;
+    p.bits = bits;
+    if (c + 1 < copies)
+      p.payload = payload;
+    else
+      p.payload = std::move(payload);
+    sim_.schedule_event(deliver_at, EventKind::kDelivery, slot);
   }
 }
 
@@ -228,7 +261,7 @@ void Network::deliver(Packet&& p) {
     ++fault_counters_.drops_crash;
     return;
   }
-  if (transport_ && p.payload.type() == typeid(ReliableFrame)) {
+  if (transport_ && payload_cast<ReliableFrame>(&p.payload) != nullptr) {
     transport_->on_frame(std::move(p));
     return;
   }
@@ -237,7 +270,7 @@ void Network::deliver(Packet&& p) {
 
 void Network::deliver_to_node(Packet&& p) {
   ++packets_delivered_[static_cast<std::size_t>(p.kind)];
-  nodes_.at(p.to)->on_packet(std::move(p));
+  nodes_[index_of(p.to)]->on_packet(std::move(p));
 }
 
 }  // namespace wcp::sim

@@ -9,14 +9,20 @@
 //
 // Cost accounting (messages, bits, per-process work, buffered bytes) is
 // recorded here so every detector's complexity is measured uniformly.
+//
+// The Network is the Simulator's EventHost. A packet in flight and a node
+// timer ({who, fn}) wait in slabs; the queued event record carries only the
+// slot. Packets carry a sim::Payload, whose inline buffer holds every hot
+// message type, so a simulated message costs no allocation of its own.
+// Per-node state (nodes, crash flags, restart times, FIFO high-water marks)
+// lives in dense tables indexed by NodeAddr::index(N); an address outside
+// them (pid >= N) is rejected by add_node and send.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -26,6 +32,7 @@
 #include "sim/address.h"
 #include "sim/fault.h"
 #include "sim/latency.h"
+#include "sim/payload.h"
 #include "sim/reliable.h"
 #include "sim/simulator.h"
 
@@ -39,7 +46,7 @@ struct Packet {
   NodeAddr to;
   MsgKind kind = MsgKind::kApplication;
   std::int64_t bits = 0;
-  std::any payload;
+  Payload payload;
 };
 
 /// Base class for simulated processes (application drivers, monitors,
@@ -67,7 +74,7 @@ class Node {
   [[nodiscard]] ProcessId pid() const { return addr_.pid; }
 
   /// Send a message; latency and metrics handled by the network.
-  void send(NodeAddr to, MsgKind kind, std::any payload, std::int64_t bits);
+  void send(NodeAddr to, MsgKind kind, Payload&& payload, std::int64_t bits);
 
   /// Schedule a local timer callback.
   void after(SimTime delay, std::function<void()> fn);
@@ -102,7 +109,7 @@ struct NetworkConfig {
   std::function<bool(const NodeAddr&, const NodeAddr&)> reliable_channels;
 };
 
-class Network {
+class Network final : private EventHost {
  public:
   explicit Network(NetworkConfig cfg);
   ~Network();
@@ -113,7 +120,9 @@ class Network {
   [[nodiscard]] Simulator& simulator() { return sim_; }
   [[nodiscard]] std::size_t num_processes() const { return cfg_.num_processes; }
 
-  /// Register a node; must happen before start().
+  /// Register a node; must happen before start(). Throws
+  /// std::invalid_argument for an application or monitor pid outside
+  /// [0, N), or a coordinator other than NodeAddr::coordinator().
   void add_node(NodeAddr addr, std::unique_ptr<Node> node);
 
   [[nodiscard]] Node* node(NodeAddr addr);
@@ -122,7 +131,7 @@ class Network {
   /// (or until a node calls simulator().stop()).
   void start_and_run(std::int64_t max_events = -1);
 
-  void send(NodeAddr from, NodeAddr to, MsgKind kind, std::any payload,
+  void send(NodeAddr from, NodeAddr to, MsgKind kind, Payload&& payload,
             std::int64_t bits);
 
   // ---- accounting ---------------------------------------------------------
@@ -154,12 +163,15 @@ class Network {
     return fault_counters_;
   }
   /// True while `a` is inside a scheduled crash window.
-  [[nodiscard]] bool is_down(NodeAddr a) const { return down_.contains(a); }
+  [[nodiscard]] bool is_down(NodeAddr a) const {
+    const std::size_t i = index_of(a);
+    return i != kNoIndex && down_[i];
+  }
   /// True once `a` has crashed with no restart scheduled. Recovery logic
   /// (transport retransmission, token regeneration) gives up on such nodes
   /// so the simulation can drain.
   [[nodiscard]] bool is_down_forever(NodeAddr a) const {
-    return down_.contains(a) && !restart_at_.contains(a);
+    return is_down(a) && restart_at_[index_of(a)] < 0;
   }
   /// Raw transmissions attempted so far (including retransmits and acks);
   /// the index space FaultPlan::drop_exact addresses.
@@ -174,33 +186,48 @@ class Network {
  private:
   friend class ReliableTransport;
 
+  struct Timer {
+    NodeAddr who;
+    std::function<void()> fn;
+  };
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+
+  /// Dense-table index of `a`, or kNoIndex if no node can live there.
+  [[nodiscard]] std::size_t index_of(NodeAddr a) const;
+  void fire(EventKind kind, std::uint32_t slot) override;
+  void fire_timer(std::uint32_t slot);
+
   [[nodiscard]] bool is_fifo(NodeAddr from, NodeAddr to) const;
 
   /// Physical-layer send: accounts metrics, applies the fault plan (drop /
   /// duplicate), samples latency, and schedules delivery. Reliable-channel
   /// frames and raw messages both go through here.
-  void raw_send(NodeAddr from, NodeAddr to, MsgKind kind, std::any payload,
+  void raw_send(NodeAddr from, NodeAddr to, MsgKind kind, Payload&& payload,
                 std::int64_t bits);
   /// Delivers one packet to its node (transport frames detour through
   /// ReliableTransport first). Drops it if the destination is down.
   void deliver(Packet&& p);
   /// In-order logical delivery: bumps packet counters, calls on_packet.
   void deliver_to_node(Packet&& p);
-  void set_down(NodeAddr a, bool down);
   [[nodiscard]] bool fault_dropped(NodeAddr from, NodeAddr to);
 
   NetworkConfig cfg_;
   Simulator sim_;
   Rng rng_;
   Rng fault_rng_;
-  std::unordered_map<NodeAddr, std::unique_ptr<Node>> nodes_;
-  std::unordered_map<std::uint64_t, SimTime> fifo_last_;  // channel key -> time
+  // Dense tables, indexed by NodeAddr::index(N); 2N + 1 entries.
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::uint8_t> down_;       // inside a crash window
+  std::vector<SimTime> restart_at_;      // last planned restart; -1 = none
+  // Last delivery time per FIFO channel, indexed from * (2N + 1) + to;
+  // sized on the first clamped send.
+  std::vector<SimTime> fifo_last_;
+  Slab<Packet> packets_;  // in flight
+  Slab<Timer> timers_;    // pending node timers
   Metrics app_metrics_;
   Metrics monitor_metrics_;
   FaultCounters fault_counters_;
   std::unique_ptr<ReliableTransport> transport_;  // set iff any channel opts in
-  std::unordered_set<NodeAddr> down_;
-  std::unordered_map<NodeAddr, SimTime> restart_at_;  // -1 entries excluded
   std::unordered_set<std::int64_t> drop_exact_;
   std::int64_t raw_sends_ = 0;
   bool crashes_scheduled_ = false;

@@ -21,7 +21,7 @@ std::uint64_t ReliableTransport::channel_key(NodeAddr from, NodeAddr to) const {
 }
 
 void ReliableTransport::send(NodeAddr from, NodeAddr to, MsgKind kind,
-                             std::any payload, std::int64_t bits) {
+                             Payload&& payload, std::int64_t bits) {
   const std::uint64_t key = channel_key(from, to);
   auto& ch = senders_[key];
   ch.from = from;
@@ -44,7 +44,7 @@ void ReliableTransport::transmit(SenderChannel& ch, std::int64_t seq) {
   f.inner = it->second.payload;  // keep the original for retransmission
   // The frame keeps the logical kind on the wire so per-kind message/bit
   // accounting still reflects what the channel carries.
-  net_.raw_send(ch.from, ch.to, it->second.kind, std::any(std::move(f)),
+  net_.raw_send(ch.from, ch.to, it->second.kind, Payload(std::move(f)),
                 it->second.bits + cfg_.header_bits);
 }
 
@@ -80,12 +80,12 @@ void ReliableTransport::send_ack(NodeAddr receiver, NodeAddr sender,
   ReliableFrame f;
   f.type = ReliableFrame::Type::kAck;
   f.seq = cumulative;
-  net_.raw_send(receiver, sender, MsgKind::kControl, std::any(std::move(f)),
+  net_.raw_send(receiver, sender, MsgKind::kControl, Payload(std::move(f)),
                 cfg_.header_bits);
 }
 
 void ReliableTransport::on_frame(Packet&& p) {
-  ReliableFrame f = std::any_cast<ReliableFrame>(std::move(p.payload));
+  ReliableFrame f = payload_cast<ReliableFrame>(std::move(p.payload));
 
   if (f.type == ReliableFrame::Type::kAck) {
     // The ack travelled receiver -> sender; the data channel is (to, from).

@@ -19,13 +19,13 @@
 // Retransmission timers of a crashed sender hold off until it restarts.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
 
 #include "common/metrics.h"
 #include "sim/address.h"
+#include "sim/payload.h"
 
 namespace wcp::sim {
 
@@ -49,7 +49,7 @@ struct ReliableFrame {
   std::int64_t seq = 0;  ///< data: channel sequence (1-based); ack: cumulative
   MsgKind inner_kind = MsgKind::kApplication;
   std::int64_t inner_bits = 0;
-  std::any inner;
+  Payload inner;
 };
 
 class ReliableTransport {
@@ -58,7 +58,7 @@ class ReliableTransport {
 
   /// Sender entry point: assigns the next channel sequence number, keeps a
   /// retransmittable copy until acked, and transmits over the lossy layer.
-  void send(NodeAddr from, NodeAddr to, MsgKind kind, std::any payload,
+  void send(NodeAddr from, NodeAddr to, MsgKind kind, Payload&& payload,
             std::int64_t bits);
 
   /// Receiver entry point: called by the Network when a frame reaches an
@@ -69,7 +69,7 @@ class ReliableTransport {
  private:
   struct Unacked {
     MsgKind kind;
-    std::any payload;
+    Payload payload;
     std::int64_t bits = 0;
     SimTime rto = 0;  ///< current backoff value
   };

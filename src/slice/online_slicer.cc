@@ -107,7 +107,7 @@ void OnlineSlicer::on_packet(sim::Packet&& p) {
   }
 
   if (p.kind == MsgKind::kControl) {
-    if (std::any_cast<app::EndOfStream>(&p.payload) != nullptr) {
+    if (sim::payload_cast<app::EndOfStream>(&p.payload) != nullptr) {
       const int slot = slot_of_pid_.at(p.from.pid.idx());
       if (slot >= 0) {
         eos_[static_cast<std::size_t>(slot)] = true;
@@ -121,7 +121,7 @@ void OnlineSlicer::on_packet(sim::Packet&& p) {
     return;
   }
 
-  auto snap = std::any_cast<app::VcSnapshot>(std::move(p.payload));
+  auto snap = sim::payload_cast<app::VcSnapshot>(std::move(p.payload));
   const ProcessId coord(static_cast<int>(net().num_processes()));
   net().monitor_buffer_change(coord, snap.bytes(), +1);
 

@@ -23,10 +23,10 @@ class SnapshotSink final : public sim::Node {
       return;
     }
     ASSERT_EQ(p.kind, MsgKind::kSnapshot);
-    if (auto* vc = std::any_cast<VcSnapshot>(&p.payload)) {
+    if (auto* vc = sim::payload_cast<VcSnapshot>(&p.payload)) {
       vc_snaps.push_back(*vc);
     } else {
-      dd_snaps.push_back(std::any_cast<DdSnapshot>(p.payload));
+      dd_snaps.push_back(sim::payload_cast<DdSnapshot>(p.payload));
     }
   }
   std::vector<VcSnapshot> vc_snaps;

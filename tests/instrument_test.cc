@@ -108,7 +108,7 @@ class Peer final : public sim::Node {
   }
 
   void on_packet(sim::Packet&& p) override {
-    auto msg = std::any_cast<PingMsg>(std::move(p.payload));
+    auto msg = sim::payload_cast<PingMsg>(std::move(p.payload));
     inst_->on_receive(p.from.pid, msg.hdr);
     // Predicate: "waiting" — true in states where we've handled an even
     // number of messages (an arbitrary but deterministic local condition).

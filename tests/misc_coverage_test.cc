@@ -89,6 +89,52 @@ TEST(NodeTimers, AfterFiresAtTheRightVirtualTime) {
   EXPECT_EQ(ptr->fired_at, 7);
 }
 
+// A node records its crash, restart and timer firings with their times.
+struct CrashTimed final : public sim::Node {
+  void on_start() override { after(5, [this] { note("timer"); }); }
+  void on_crash() override { note("crash"); }
+  void on_restart() override { note("restart"); }
+  void on_packet(sim::Packet&&) override {}
+  void note(const char* what) {
+    log.push_back(std::string(what) + "@" +
+                  std::to_string(net().simulator().now()));
+  }
+  std::vector<std::string> log;
+};
+
+std::vector<std::string> run_crash_timed(SimTime crash_at, SimTime restart,
+                                         std::int64_t* events) {
+  sim::NetworkConfig cfg;
+  cfg.num_processes = 1;
+  const auto addr = sim::NodeAddr::monitor(ProcessId(0));
+  cfg.faults.crashes = {sim::CrashEvent{addr, crash_at, restart}};
+  sim::Network net(cfg);
+  auto node = std::make_unique<CrashTimed>();
+  auto* ptr = node.get();
+  net.add_node(addr, std::move(node));
+  net.start_and_run();
+  EXPECT_TRUE(net.simulator().idle());
+  *events = net.simulator().events_processed();
+  return ptr->log;
+}
+
+// A timer that falls due inside a crash window is deferred, not lost: it
+// fires at the restart instant, after on_restart.
+TEST(NodeTimers, DeferredAcrossCrashFiresAfterRestart) {
+  std::int64_t events = 0;
+  EXPECT_EQ(run_crash_timed(3, 10, &events),
+            (std::vector<std::string>{"crash@3", "restart@10", "timer@10"}));
+  // crash, restart, the timer's first firing (deferred) and its second
+  EXPECT_EQ(events, 4);
+}
+
+TEST(NodeTimers, DieWithPermanentCrash) {
+  std::int64_t events = 0;
+  EXPECT_EQ(run_crash_timed(3, -1, &events),
+            (std::vector<std::string>{"crash@3"}));
+  EXPECT_EQ(events, 2);  // the crash, and the timer dying when it falls due
+}
+
 TEST(BimodalLatency, MixesFastAndSpikes) {
   Rng rng(3);
   const auto m = sim::LatencyModel::bimodal(2, 0.2, 100);

@@ -13,7 +13,7 @@ class Recorder final : public Node {
  public:
   void on_packet(Packet&& p) override {
     received.push_back({p.from, net().simulator().now(),
-                        std::any_cast<int>(p.payload)});
+                        sim::payload_cast<int>(p.payload)});
   }
   struct Rx {
     NodeAddr from;
@@ -145,6 +145,40 @@ TEST(Network, DuplicateNodeRejected) {
   EXPECT_THROW(
       net.add_node(NodeAddr::app(ProcessId(0)), std::make_unique<Recorder>()),
       std::invalid_argument);
+}
+
+// Per-node state lives in dense tables of 2N + 1 entries: an address that
+// would alias another slot (pid >= N, a negative pid, a second coordinator)
+// must be refused, not folded onto a live node.
+TEST(Network, AddressOutsideTheDenseTableRejected) {
+  Network net(config(2, LatencyModel::fixed_delay(1), false));
+  const NodeAddr outside[] = {NodeAddr::app(ProcessId(2)),
+                              NodeAddr::monitor(ProcessId(7)),
+                              NodeAddr::app(ProcessId(-1)),
+                              NodeAddr{NodeRole::kCoordinator, ProcessId(1)}};
+  for (const NodeAddr& a : outside) {
+    try {
+      net.add_node(a, std::make_unique<Recorder>());
+      ADD_FAILURE() << "add_node accepted " << a;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("outside a network of 2 processes"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(net.node(a), nullptr);
+  }
+  // app(2) would alias monitor(0) in the dense index; a send to it must
+  // not reach the monitor registered there.
+  net.add_node(NodeAddr::monitor(ProcessId(0)), std::make_unique<Recorder>());
+  try {
+    net.send(NodeAddr::app(ProcessId(0)), NodeAddr::app(ProcessId(2)),
+             MsgKind::kApplication, 1, 64);
+    ADD_FAILURE() << "send to app(2) accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("send to unknown node"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Network, DeterministicAcrossIdenticalRuns) {

@@ -43,7 +43,7 @@ class Receiver final : public Node {
  public:
   explicit Receiver(std::vector<int>* sink) : sink_(sink) {}
   void on_packet(Packet&& p) override {
-    sink_->push_back(std::any_cast<int>(p.payload));
+    sink_->push_back(sim::payload_cast<int>(p.payload));
   }
 
  private:
