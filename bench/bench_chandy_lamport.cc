@@ -40,6 +40,10 @@ void BM_ClVsGcp_Termination(benchmark::State& state) {
     gcp_result = detect::run_gcp_centralized(t.computation, channels, opts);
     benchmark::DoNotOptimize(cl_result.detected);
   }
+  if (cl_result.truncated || gcp_result.truncated) {
+    state.SkipWithError("a run hit its event budget");
+    return;
+  }
 
   state.counters["period"] = static_cast<double>(period);
   state.counters["cl_detect_time"] =

@@ -117,6 +117,10 @@ void BM_Slice_Online(benchmark::State& state) {
     base = detect::run_lattice_online(comp, default_opts(), 1'000'000);
     benchmark::DoNotOptimize(r.detected);
   }
+  if (r.truncated) {
+    state.SkipWithError("the online slicer hit its event budget");
+    return;
+  }
 
   const double base_cuts = static_cast<double>(base.cuts_explored);
   state.counters["N"] = static_cast<double>(N);

@@ -179,12 +179,16 @@ void print_cut(const std::vector<StateIndex>& cut) {
 
 /// The canonical algorithm-agnostic verdict line. `wcp_cli detect --verdict`
 /// and `wcp_cli stream` both emit exactly this, so a byte-diff proves the
-/// streamed path reproduces the offline one (CI does exactly that).
-void print_verdict_line(bool detected, const std::vector<StateIndex>& cut) {
+/// streamed path reproduces the offline one (CI does exactly that). A run
+/// stopped by a cap or the event budget is inconclusive and says so with
+/// `"truncated": true`; the field is absent when the run finished.
+void print_verdict_line(bool detected, const std::vector<StateIndex>& cut,
+                        bool truncated) {
   json::Writer w(std::cout);
   w.begin_object();
   w.key("schema").value("wcp-verdict/1");
   w.key("detected").value(detected);
+  if (truncated) w.key("truncated").value(true);
   w.key("cut").begin_array();
   if (detected)
     for (const StateIndex k : cut) w.value(k);
@@ -339,7 +343,7 @@ int cmd_detect(const Args& a) {
   const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const detect::AlgoRun r = detect::run_algo(algo, comp, opts);
   if (a.flags.contains("verdict")) {
-    print_verdict_line(r.verdict, r.cut);
+    print_verdict_line(r.verdict, r.cut, r.truncated);
   } else if (a.flags.contains("json")) {
     json::Writer w(std::cout);
     r.write_report(w, "cli:" + algo);
@@ -416,7 +420,7 @@ int cmd_stream(const Args& a) {
               return x.sub_id < y.sub_id;
             });
   for (const serve::VerdictBody& v : by_sub)
-    print_verdict_line(v.detected, v.cut);
+    print_verdict_line(v.detected, v.cut, v.truncated);
   return 0;
 }
 

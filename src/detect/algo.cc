@@ -31,6 +31,7 @@ double bound_Nm(const ReportParams& p) {
 AlgoRun simulated(DetectionResult r) {
   AlgoRun run;
   run.verdict = r.detected;
+  run.truncated = r.truncated;
   run.cut = r.cut;
   run.cost = r.monitor_metrics.total_work();
   run.sim = std::move(r);

@@ -53,7 +53,8 @@ struct AlgoRun {
   ReportParams params;
   /// Detected (oracle, possibly, simulated) or definitely (definitely).
   bool verdict = false;
-  /// The exploration reached its cap; the verdict is inconclusive.
+  /// The exploration reached its cap, or the simulated run its event
+  /// budget; the verdict is inconclusive.
   bool truncated = false;
   /// The detected cut, or the definitely family's avoiding witness; empty
   /// when the run produced none.

@@ -68,7 +68,7 @@ DetectionResult run_centralized(const Computation& comp,
   const std::size_t n = preds.size();
   WCP_REQUIRE(n >= 1, "empty predicate");
 
-  sim::Network net(network_config(opts, comp.num_processes()));
+  sim::Network net(network_config(opts, comp));
 
   auto shared = std::make_shared<SharedDetection>();
   std::vector<ProcessId> slot_to_pid(preds.begin(), preds.end());
@@ -87,11 +87,8 @@ DetectionResult run_centralized(const Computation& comp,
   app::install_app_drivers(
       net, comp, drv, [](ProcessId) { return sim::NodeAddr::coordinator(); });
 
-  net.start_and_run(opts.max_events);
-
-  DetectionResult r;
-  finish_result(r, net, *shared);
-  return r;
+  net.start_and_run();
+  return finish_result(net, *shared);
 }
 
 }  // namespace wcp::detect

@@ -106,7 +106,7 @@ ClResult run_chandy_lamport(const Computation& comp, const RunOptions& opts,
                             const ClOptions& cl) {
   const std::size_t N = comp.num_processes();
 
-  sim::NetworkConfig ncfg = network_config(opts, N);
+  sim::NetworkConfig ncfg = network_config(opts, comp);
   // The classic Chandy-Lamport FIFO-channel assumption.
   ncfg.fifo_all = true;
   sim::Network net(std::move(ncfg));
@@ -128,10 +128,11 @@ ClResult run_chandy_lamport(const Computation& comp, const RunOptions& opts,
   drv.emit_snapshots = false;  // no monitor processes in a CL run
   app::install_app_drivers(net, comp, drv);
 
-  net.start_and_run(opts.max_events);
+  net.start_and_run();
 
   ClResult r;
   r.detected = shared->detected;
+  r.truncated = net.truncated();
   r.snapshots = std::move(*snapshots);
   r.detect_time = shared->detect_time;
   r.end_time = net.simulator().now();

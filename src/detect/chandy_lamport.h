@@ -67,6 +67,7 @@ struct ClOptions {
 
 struct ClResult {
   bool detected = false;
+  bool truncated = false;  ///< hit the event budget (network_config)
   std::vector<ClSnapshot> snapshots;  ///< every completed round
   SimTime detect_time = 0;
   SimTime end_time = 0;

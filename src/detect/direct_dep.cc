@@ -210,7 +210,7 @@ DetectionResult run_direct_dep(const Computation& comp, const RunOptions& opts,
                                const DdRunOptions& dd,
                                const DdInspector& inspector) {
   const std::size_t N = comp.num_processes();
-  sim::Network net(network_config(opts, N));
+  sim::Network net(network_config(opts, comp));
   const auto inst =
       install_dd_monitors(net, N, dd, opts.halt_on_detect, inspector);
 

@@ -127,7 +127,7 @@ DetectionResult run_gcp_centralized(const Computation& comp,
                                        << " is not a predicate process");
   }
 
-  sim::Network net(network_config(opts, comp.num_processes()));
+  sim::Network net(network_config(opts, comp));
 
   auto shared = std::make_shared<SharedDetection>();
 
@@ -145,11 +145,8 @@ DetectionResult run_gcp_centralized(const Computation& comp,
   app::install_app_drivers(
       net, comp, drv, [](ProcessId) { return sim::NodeAddr::coordinator(); });
 
-  net.start_and_run(opts.max_events);
-
-  DetectionResult r;
-  finish_result(r, net, *shared);
-  return r;
+  net.start_and_run();
+  return finish_result(net, *shared);
 }
 
 }  // namespace wcp::detect

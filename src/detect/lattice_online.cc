@@ -60,7 +60,7 @@ LatticeOnlineResult run_lattice_online(const Computation& comp,
   const auto preds = comp.predicate_processes();
   WCP_REQUIRE(!preds.empty(), "empty predicate");
 
-  sim::Network net(network_config(opts, comp.num_processes()));
+  sim::Network net(network_config(opts, comp));
 
   auto shared = std::make_shared<SharedDetection>();
   LatticeChecker::Config lc;
@@ -78,13 +78,14 @@ LatticeOnlineResult run_lattice_online(const Computation& comp,
   app::install_app_drivers(
       net, comp, drv, [](ProcessId) { return sim::NodeAddr::coordinator(); });
 
-  net.start_and_run(opts.max_events);
+  net.start_and_run();
 
   LatticeOnlineResult r;
   r.detected = shared->detected;
   r.cut = shared->cut;
-  r.truncated = !shared->detected && max_cuts >= 0 &&
-                checker_ptr->cuts_explored() > max_cuts;
+  r.truncated = net.truncated() ||
+                (!shared->detected && max_cuts >= 0 &&
+                 checker_ptr->cuts_explored() > max_cuts);
   r.cuts_explored = checker_ptr->cuts_explored();
   r.max_frontier = checker_ptr->max_frontier();
   r.detect_time = shared->detect_time;

@@ -63,7 +63,7 @@ class LatticeChecker final : public sim::Node {
 
 struct LatticeOnlineResult {
   bool detected = false;
-  bool truncated = false;
+  bool truncated = false;  ///< max_cuts or the event budget reached
   std::vector<StateIndex> cut;
   std::int64_t cuts_explored = 0;
   std::int64_t max_frontier = 0;

@@ -13,11 +13,7 @@ MultiTokenLeader::MultiTokenLeader(Config cfg)
     : cfg_(std::move(cfg)), canonical_(n()) {
   WCP_REQUIRE(cfg_.shared != nullptr, "leader needs shared detection state");
   WCP_REQUIRE(cfg_.num_groups >= 1, "need at least one group");
-  const auto g = static_cast<std::size_t>(cfg_.num_groups);
-  incarnation_.assign(g, 0);
-  outstanding_group_.assign(g, 0);
-  starved_.assign(g, 0);
-  deadline_.assign(g, 0);
+  groups_.resize(static_cast<std::size_t>(cfg_.num_groups));
 }
 
 void MultiTokenLeader::on_start() {
@@ -27,26 +23,17 @@ void MultiTokenLeader::on_start() {
 
 void MultiTokenLeader::on_packet(sim::Packet&& p) {
   if (p.kind == MsgKind::kControl) {
-    const SimTime now = net().simulator().now();
     if (p.payload.type() == typeid(TokenHeartbeat)) {
       const auto hb = sim::payload_cast<TokenHeartbeat>(std::move(p.payload));
-      const auto g = static_cast<std::size_t>(hb.group);
-      if (hb.group >= 0 && g < outstanding_group_.size() &&
-          outstanding_group_[g] && hb.incarnation == incarnation_[g])
-        deadline_[g] = now + cfg_.recovery.lease;
+      group(hb.group).lease.heartbeat(hb.incarnation, net().simulator().now());
       return;
     }
-    if (p.payload.type() == typeid(TokenStarved)) {
-      const auto st = sim::payload_cast<TokenStarved>(std::move(p.payload));
-      const auto g = static_cast<std::size_t>(st.group);
-      if (st.group >= 0 && g < outstanding_group_.size() &&
-          st.incarnation == incarnation_[g]) {
-        starved_[g] = 1;
-        group_done(st.group);
-      }
-      return;
-    }
-    WCP_CHECK_MSG(false, "leader got unexpected control payload");
+    WCP_CHECK_MSG(p.payload.type() == typeid(TokenStandDown),
+                  "leader got unexpected control payload");
+    const auto sd = sim::payload_cast<TokenStandDown>(std::move(p.payload));
+    if (sd.incarnation == group(sd.group).lease.incarnation())
+      group_done(sd.group, /*stood_down=*/true);
+    return;
   }
   WCP_CHECK_MSG(p.kind == MsgKind::kToken,
                 "leader got unexpected " << to_string(p.kind));
@@ -61,22 +48,22 @@ void MultiTokenLeader::on_packet(sim::Packet&& p) {
   // A stale incarnation is a duplicate the guardian logic already replaced:
   // its information was merged above, but only the live token's return may
   // close out the group.
-  const auto g = static_cast<std::size_t>(tok.group);
-  WCP_CHECK(tok.group >= 0 && g < outstanding_group_.size());
-  if (!outstanding_group_[g] || tok.incarnation != incarnation_[g]) {
-    WCP_CHECK_MSG(cfg_.recovery.enabled, "stale token without recovery");
+  const Group& g = group(tok.group);
+  if (!g.outstanding || tok.incarnation != g.lease.incarnation()) {
+    WCP_CHECK_MSG(net().has_crashes(), "stale token without recovery");
     return;
   }
   group_done(tok.group);
 }
 
-void MultiTokenLeader::group_done(int group) {
-  const auto g = static_cast<std::size_t>(group);
-  if (!outstanding_group_[g]) return;
-  outstanding_group_[g] = 0;
-  --outstanding_;
-  WCP_CHECK(outstanding_ >= 0);
-  if (outstanding_ == 0) cross_check_and_dispatch();
+void MultiTokenLeader::group_done(int g, bool stood_down) {
+  Group& grp = group(g);
+  grp.stood_down |= stood_down;
+  if (!grp.outstanding) return;
+  grp.outstanding = false;
+  if (std::none_of(groups_.begin(), groups_.end(),
+                   [](const Group& x) { return x.outstanding; }))
+    cross_check_and_dispatch();
 }
 
 void MultiTokenLeader::cross_check_and_dispatch() {
@@ -115,81 +102,67 @@ void MultiTokenLeader::cross_check_and_dispatch() {
     return;
   }
 
-  std::vector<bool> needs(static_cast<std::size_t>(cfg_.num_groups), false);
-  bool starved_red = false;
+  bool stood_down_red = false;
   for (std::size_t s = 0; s < n(); ++s) {
     if (canonical_.color[s] != Color::kRed) continue;
-    const auto g = static_cast<std::size_t>(cfg_.group_of_slot[s]);
-    if (starved_[g]) {
-      // The group's candidate stream dried up while a slot still needs to
-      // advance: the predicate is undetectable; let the run drain.
-      starved_red = true;
-      continue;
-    }
-    needs[g] = true;
+    // A red slot of a group that stood down can never advance: the
+    // predicate is undetectable; let the run drain.
+    Group& grp = group(cfg_.group_of_slot[s]);
+    stood_down_red |= grp.stood_down;
+    grp.outstanding |= !grp.stood_down;
   }
-
+  bool any = false;
   for (int g = 0; g < cfg_.num_groups; ++g)
-    if (needs[static_cast<std::size_t>(g)]) dispatch(g, /*regenerated=*/false);
-  WCP_CHECK_MSG(outstanding_ > 0 || starved_red,
+    if (group(g).outstanding) {
+      any = true;
+      issue(g);
+    }
+  WCP_CHECK_MSG(any || stood_down_red,
                 "leader stuck: red slots but no dispatch");
 }
 
-void MultiTokenLeader::dispatch(int group, bool regenerated) {
-  const auto gi = static_cast<std::size_t>(group);
-  int target = -1;
-  for (std::size_t s = 0; s < n(); ++s) {
-    if (cfg_.group_of_slot[s] != group || canonical_.color[s] != Color::kRed)
-      continue;
-    // Under recovery, skip slots whose monitor died for good — their
-    // candidates can never advance, but another member's might.
-    if (cfg_.recovery.enabled &&
-        net().is_down_forever(sim::NodeAddr::monitor(cfg_.slot_to_pid[s])))
-      continue;
-    target = static_cast<int>(s);
-    break;
-  }
-  if (target < 0) {
-    // Every red slot of the group is permanently dead: undetectable.
-    WCP_CHECK(cfg_.recovery.enabled);
-    starved_[gi] = 1;
-    if (regenerated) group_done(group);
+void MultiTokenLeader::issue(int g) {
+  // The group's token goes to its first red member; a re-issued group with
+  // none left (a stale return merged them all green) is done.
+  std::size_t target = 0;
+  while (target < n() && (cfg_.group_of_slot[target] != g ||
+                          canonical_.color[target] != Color::kRed))
+    ++target;
+  if (target == n()) {
+    group_done(g);
     return;
   }
-  if (!regenerated) {
-    ++outstanding_;
-    outstanding_group_[gi] = 1;
-  }
-  ++incarnation_[gi];
-  deadline_[gi] = net().simulator().now() + cfg_.recovery.lease;
-  if (cfg_.recovery.enabled) arm_watchdog();
   VcToken copy = canonical_;
-  copy.group = group;
-  copy.incarnation = incarnation_[gi];
+  copy.group = g;
+  copy.incarnation = group(g).lease.issue(net().simulator().now());
+  if (net().has_crashes()) arm_watchdog();
   const std::int64_t bits = copy.bits(/*with_v=*/true);
-  send(sim::NodeAddr::monitor(
-           cfg_.slot_to_pid[static_cast<std::size_t>(target)]),
-       MsgKind::kToken, std::move(copy), bits);
+  send(sim::NodeAddr::monitor(cfg_.slot_to_pid[target]), MsgKind::kToken,
+       std::move(copy), bits);
 }
 
 void MultiTokenLeader::arm_watchdog() {
   if (wd_armed_) return;
   wd_armed_ = true;
-  after(cfg_.recovery.heartbeat, [this] {
+  after(TokenLease::kHeartbeat, [this] {
     wd_armed_ = false;
     if (cfg_.shared->detected) return;
     const SimTime now = net().simulator().now();
     bool any = false;
     for (int g = 0; g < cfg_.num_groups; ++g) {
-      const auto gi = static_cast<std::size_t>(g);
-      if (!outstanding_group_[gi]) continue;
-      if (now >= deadline_[gi]) {
-        // Lease expired: the group's token (and maybe its holder) is gone.
-        // Re-issue from the canonical merged state under a new incarnation.
-        ++net().fault_counters().token_regenerations;
-        dispatch(g, /*regenerated=*/true);
+      const Group& grp = group(g);
+      if (grp.outstanding && grp.lease.expired(now)) {
+        if (TokenLease::stranded(canonical_, net(), cfg_.slot_to_pid,
+                                 cfg_.group_of_slot, g)) {
+          group_done(g, /*stood_down=*/true);
+        } else {
+          // The group's token (and maybe its holder) is gone: re-issue it
+          // from the canonical merged state.
+          ++net().fault_counters().token_regenerations;
+          issue(g);
+        }
       }
-      if (outstanding_group_[gi]) any = true;
+      any |= grp.outstanding;
     }
     if (any) arm_watchdog();
   });
@@ -203,8 +176,7 @@ DetectionResult run_multi_token(const Computation& comp,
   WCP_REQUIRE(n >= 1, "empty predicate");
   const int g = std::clamp(mt.num_groups, 1, static_cast<int>(n));
 
-  sim::Network net(network_config(opts, comp.num_processes()));
-  const TokenRecoveryOptions recovery = effective_recovery(opts);
+  sim::Network net(network_config(opts, comp));
 
   auto shared = std::make_shared<SharedDetection>();
   std::vector<ProcessId> slot_to_pid(preds.begin(), preds.end());
@@ -218,8 +190,6 @@ DetectionResult run_multi_token(const Computation& comp,
     mc.slot_to_pid = slot_to_pid;
     mc.shared = shared;
     mc.group_of_slot = group_of_slot;
-    mc.leader = sim::NodeAddr::coordinator();
-    mc.recovery = recovery;
     net.add_node(sim::NodeAddr::monitor(slot_to_pid[s]),
                  std::make_unique<TokenVcMonitor>(std::move(mc)));
   }
@@ -230,7 +200,6 @@ DetectionResult run_multi_token(const Computation& comp,
   lc.num_groups = g;
   lc.halt_apps = opts.halt_on_detect;
   lc.shared = shared;
-  lc.recovery = recovery;
   auto leader = std::make_unique<MultiTokenLeader>(std::move(lc));
   net.add_node(sim::NodeAddr::coordinator(), std::move(leader));
 

@@ -39,13 +39,6 @@ class MultiTokenLeader final : public sim::Node {
     int num_groups = 1;
     bool halt_apps = false;  // distributed breakpoint on detection
     std::shared_ptr<SharedDetection> shared;
-
-    // Crash recovery: the leader is the guardian of every group token. A
-    // dispatched token whose lease expires without a heartbeat or a return
-    // is regenerated from the canonical merged state (the last "acked"
-    // state) under a bumped per-group incarnation; stale returns are still
-    // merged (sound) but only an incarnation match clears `outstanding`.
-    TokenRecoveryOptions recovery;
   };
 
   explicit MultiTokenLeader(Config cfg);
@@ -54,21 +47,27 @@ class MultiTokenLeader final : public sim::Node {
   void on_packet(sim::Packet&& p) override;
 
  private:
+  // Under crashes the leader guards every group token (TokenLease, scope:
+  // the group), re-issuing copies of the canonical merged token. Stale
+  // returns are merged (sound); only the live incarnation closes a group.
+  struct Group {
+    TokenLease lease;
+    bool outstanding = false;  // dispatched and not yet back
+    bool stood_down = false;   // undetectable; never dispatched again
+  };
+
   void cross_check_and_dispatch();
-  void dispatch(int group, bool regenerated);
-  void group_done(int group);
+  void issue(int g);
+  void group_done(int g, bool stood_down = false);
   void arm_watchdog();
   [[nodiscard]] std::size_t n() const { return cfg_.slot_to_pid.size(); }
+  [[nodiscard]] Group& group(int g) {
+    return groups_.at(static_cast<std::size_t>(g));
+  }
 
   Config cfg_;
   VcToken canonical_;
-  int outstanding_ = 0;
-
-  // Per-group recovery state (indexed by group id).
-  std::vector<std::int64_t> incarnation_;
-  std::vector<char> outstanding_group_;
-  std::vector<char> starved_;  // group's holder starved; stop regenerating
-  std::vector<SimTime> deadline_;
+  std::vector<Group> groups_;
   bool wd_armed_ = false;
 };
 

@@ -64,6 +64,8 @@ void write_run_report(json::Writer& w, std::string_view bench,
     w.key("faults");
     r.faults.write_json(w);
   }
+  // Same rule for a run that hit its event budget (1, as other families).
+  if (r.truncated) w.field("truncated", 1);
   // The full per-layer breakdown for downstream tooling.
   w.key("result");
   r.write_json(w, include_wall_clock);

@@ -5,10 +5,14 @@
 #include "app/app_driver.h"
 #include "common/json.h"
 #include "sim/network.h"
+#include "trace/computation.h"
 
 namespace wcp::detect {
 
 namespace {
+
+// Events per unit of (N + n^2)(m + 1) a simulated run may take.
+constexpr std::int64_t kEventBudgetFactor = 1000;
 
 void write_cut(json::Writer& w, const std::vector<StateIndex>& cut) {
   w.begin_array();
@@ -63,37 +67,37 @@ void DetectionResult::write_json(json::Writer& w, bool include_wall_clock,
 }
 
 sim::NetworkConfig network_config(const RunOptions& opts,
-                                  std::size_t num_processes) {
+                                  const Computation& comp) {
+  const auto N = static_cast<std::int64_t>(comp.num_processes());
+  const auto n = static_cast<std::int64_t>(comp.predicate_processes().size());
   sim::NetworkConfig ncfg;
-  ncfg.num_processes = num_processes;
+  ncfg.num_processes = comp.num_processes();
+  ncfg.max_events = kEventBudgetFactor * (N + n * n) *
+                    (comp.max_messages_per_process() + 1);
   ncfg.latency = opts.latency;
   ncfg.monitor_latency = opts.monitor_latency;
   ncfg.fifo_all = opts.fifo_all;
   ncfg.seed = opts.seed;
   ncfg.faults = opts.faults;
-  ncfg.reliable = opts.reliable;
   ncfg.reliable_all = opts.faults.enabled();
   return ncfg;
 }
 
-TokenRecoveryOptions effective_recovery(const RunOptions& opts) {
-  TokenRecoveryOptions rec = opts.recovery;
-  rec.enabled = rec.enabled || opts.faults.has_crashes();
-  return rec;
-}
-
-void finish_result(DetectionResult& r, sim::Network& net,
-                   const SharedDetection& shared) {
+DetectionResult finish_result(sim::Network& net,
+                              const SharedDetection& shared) {
+  DetectionResult r;
   r.detected = shared.detected;
   r.cut = shared.cut;
   r.detect_time = shared.detect_time;
   r.end_time = net.simulator().now();
+  r.truncated = net.truncated();
   r.sim_events = net.simulator().events_processed();
   r.stats = net.run_stats();
   r.token_hops = net.monitor_metrics().token_hops();
   r.app_metrics = net.app_metrics();
   r.monitor_metrics = net.monitor_metrics();
   r.faults = net.fault_counters();
+  return r;
 }
 
 DetectionResult replay(sim::Network& net, const Computation& comp,
@@ -101,18 +105,17 @@ DetectionResult replay(sim::Network& net, const Computation& comp,
                        const SharedDetection& shared) {
   drv.step_delay = opts.step_delay;
   const auto drivers = app::install_app_drivers(net, comp, drv);
-  net.start_and_run(opts.max_events);
-  DetectionResult r;
+  net.start_and_run();
+  DetectionResult r = finish_result(net, shared);
   if (opts.halt_on_detect && shared.detected) {
     r.frozen_cut.reserve(drivers.size());
     for (const auto* d : drivers) r.frozen_cut.push_back(d->current_state());
   }
-  finish_result(r, net, shared);
   return r;
 }
 
 std::ostream& operator<<(std::ostream& os, const DetectionResult& r) {
-  os << (r.detected ? "DETECTED" : "not-detected");
+  os << (r.detected ? "DETECTED" : r.truncated ? "inconclusive" : "not-detected");
   if (r.detected) {
     os << " cut=[";
     for (std::size_t s = 0; s < r.cut.size(); ++s) {
@@ -123,6 +126,7 @@ std::ostream& operator<<(std::ostream& os, const DetectionResult& r) {
   }
   os << " t_detect=" << r.detect_time << " t_end=" << r.end_time
      << " hops=" << r.token_hops;
+  if (r.truncated) os << " (truncated)";
   return os;
 }
 

@@ -11,7 +11,6 @@
 #include "common/types.h"
 #include "sim/fault.h"
 #include "sim/latency.h"
-#include "sim/reliable.h"
 #include "trace/trace_store_stats.h"
 
 namespace wcp {
@@ -27,18 +26,6 @@ class Network;
 
 namespace wcp::detect {
 
-/// Token-recovery tuning for the token-based detectors (token_vc and
-/// multi_token): a token holder that blocks waiting for candidates
-/// heartbeats its guardian (the monitor or leader that sent it the token);
-/// a guardian whose lease expires without a heartbeat regenerates the token
-/// from its checkpoint. Auto-enabled whenever the fault plan schedules
-/// crashes; all timings are virtual-time units.
-struct TokenRecoveryOptions {
-  bool enabled = false;
-  SimTime lease = 240;     ///< guardian watchdog deadline per heartbeat
-  SimTime heartbeat = 60;  ///< holder heartbeat period while blocked
-};
-
 /// Options common to every online (simulator-hosted) detection run.
 struct RunOptions {
   std::uint64_t seed = 1;            ///< drives latency + pacing only
@@ -51,7 +38,6 @@ struct RunOptions {
   /// clocks (vector-clock algorithms only; ablation E11).
   bool compress_clocks = false;
   SimTime step_delay = 2;            ///< application think-time upper bound
-  std::int64_t max_events = -1;      ///< simulator safety valve (<0: none)
   /// Distributed breakpoint (Miller-Choi [11]): on detection, freeze every
   /// application process with a Halt message instead of stopping the
   /// simulation; the run then drains and DetectionResult::frozen_cut holds
@@ -61,13 +47,9 @@ struct RunOptions {
   /// Fault injection (sim/fault.h). When the plan is enabled, every channel
   /// is automatically run over the reliable transport (see network_config),
   /// since the detectors assume loss-free channels and FIFO app->monitor
-  /// links (§2, §3.1).
+  /// links (§2, §3.1). Crashes in the plan turn on token recovery
+  /// (TokenLease, detect/stream_core.h).
   sim::FaultPlan faults;
-  /// Ack/retransmission transport tuning for faulty runs.
-  sim::ReliableConfig reliable;
-  /// Token-holder crash recovery; auto-enabled when `faults` schedules
-  /// crashes (see effective_recovery).
-  TokenRecoveryOptions recovery;
 };
 
 /// Outcome of one detection run.
@@ -83,6 +65,8 @@ struct DetectionResult {
   std::vector<StateIndex> frozen_cut;
   SimTime detect_time = 0;  ///< virtual time when detect was set
   SimTime end_time = 0;     ///< virtual time when the run ended
+  /// The event budget (network_config) ended the run: inconclusive.
+  bool truncated = false;
   std::int64_t token_hops = 0;
   std::int64_t sim_events = 0;
   /// Simulator/network execution statistics (all-zero for offline runs).
@@ -116,19 +100,17 @@ struct SharedDetection {
 };
 
 /// Builds the NetworkConfig every online runner uses from the common run
-/// options. When the fault plan is enabled, all channels are switched onto
-/// the reliable transport (the detectors' channel assumptions require it).
+/// options, for a replay of `comp`. When the fault plan is enabled, all
+/// channels are switched onto the reliable transport (the detectors'
+/// channel assumptions require it). The event budget is a multiple of
+/// (N + n^2)(m + 1): the paper's two work bounds (§3.4, §4.4), plus m = 0.
 sim::NetworkConfig network_config(const RunOptions& opts,
-                                  std::size_t num_processes);
+                                  const Computation& comp);
 
-/// Recovery options with the auto-enable rule applied: crashes in the fault
-/// plan imply token recovery.
-TokenRecoveryOptions effective_recovery(const RunOptions& opts);
-
-/// Fills the network-derived fields of a result (timings, stats, metrics,
-/// fault counters) after start_and_run, plus the shared detection outcome.
-void finish_result(DetectionResult& r, sim::Network& net,
-                   const SharedDetection& shared);
+/// The result of a finished run: the network-derived fields (timings,
+/// stats, metrics, fault counters) plus the shared detection outcome.
+DetectionResult finish_result(sim::Network& net,
+                              const SharedDetection& shared);
 
 /// Replays `comp` through application drivers (`drv`, at the step delay of
 /// `opts`) into the monitors installed on `net`, runs the simulation and

@@ -181,7 +181,7 @@ SliceOnlineResult run_slice_online(const Computation& comp,
   const auto preds = comp.predicate_processes();
   WCP_REQUIRE(!preds.empty(), "empty predicate");
 
-  sim::Network net(network_config(opts, comp.num_processes()));
+  sim::Network net(network_config(opts, comp));
 
   slice::OnlineSlicer::Config sc;
   sc.slot_to_pid.assign(preds.begin(), preds.end());
@@ -196,10 +196,11 @@ SliceOnlineResult run_slice_online(const Computation& comp,
   app::install_app_drivers(
       net, comp, drv, [](ProcessId) { return sim::NodeAddr::coordinator(); });
 
-  net.start_and_run(opts.max_events);
+  net.start_and_run();
 
   SliceOnlineResult r;
   r.detected = slicer_ptr->detected();
+  r.truncated = net.truncated();
   r.cut = slicer_ptr->cut();
   r.detect_time = slicer_ptr->detect_time();
   r.states_received = slicer_ptr->states_received();

@@ -43,6 +43,7 @@ DefinitelyResult detect_definitely_sliced(const Computation& comp,
 /// Outcome of one online slicing run (see slice/online_slicer.h).
 struct SliceOnlineResult {
   bool detected = false;
+  bool truncated = false;  ///< hit the event budget (network_config)
   std::vector<StateIndex> cut;
   SimTime detect_time = 0;
   std::int64_t states_received = 0;

@@ -5,6 +5,7 @@
 
 #include "common/cut_hash.h"
 #include "common/error.h"
+#include "sim/network.h"
 
 namespace wcp::detect {
 
@@ -24,6 +25,17 @@ void merge_token(VcToken& into, const VcToken& from) {
     }
   }
   into.incarnation = std::max(into.incarnation, from.incarnation);
+}
+
+bool TokenLease::stranded(const VcToken& tok, const sim::Network& net,
+                          std::span<const ProcessId> slot_to_pid,
+                          std::span<const int> group_of_slot, int group) {
+  for (std::size_t s = 0; s < tok.width(); ++s)
+    if (tok.color[s] == Color::kRed &&
+        (group < 0 || group_of_slot[s] == group) &&
+        net.is_down_forever(sim::NodeAddr::monitor(slot_to_pid[s])))
+      return true;
+  return false;
 }
 
 TokenCore::TokenCore(const app::StateStream& stream, app::CoreHooks hooks)

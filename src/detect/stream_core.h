@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -39,6 +40,10 @@
 #include "clock/vector_clock.h"
 #include "common/cut_storage.h"
 #include "common/types.h"
+
+namespace wcp::sim {
+class Network;
+}  // namespace wcp::sim
 
 namespace wcp::detect {
 
@@ -50,12 +55,12 @@ struct VcToken {
   std::vector<Color> color;      // all red initially
   std::vector<VectorClock> V;    // accepted candidate clocks; may be empty
 
-  // Recovery header (fault-tolerant runs only; see TokenRecoveryOptions).
-  // `group` is the §3.5 group this token serves (-1 in single-token mode);
-  // `incarnation` is bumped each time a guardian or the leader regenerates
-  // the token, so stale duplicates can be told from the live one. Neither
-  // field is charged in bits(): they are a constant-size extension header
-  // and the paper's O(n) token-size claim is measured without it.
+  // Recovery header (runs with crashes only; see TokenLease). `group` is
+  // the §3.5 group this token serves (-1 in single-token mode);
+  // `incarnation` is the one its guardian issued it under, so stale
+  // duplicates can be told from the live one. Neither field is charged in
+  // bits(): they are a constant-size extension header and the paper's O(n)
+  // token-size claim is measured without it.
   int group = -1;
   std::int64_t incarnation = 0;
 
@@ -83,6 +88,45 @@ struct VcToken {
 /// duplicate token from a guardian's false-positive regeneration into the
 /// live one: the per-slot maximum of two sound tokens is sound.
 void merge_token(VcToken& into, const VcToken& from);
+
+/// Token crash recovery (runs with crashes only), one rule for the Fig. 3
+/// guardian (the monitor that forwarded the token; scope: every slot) and
+/// the §3.5 leader (scope: the group it dispatched to). The guardian issues
+/// the token under a new incarnation and a kLease lease; a holder blocked
+/// on its candidates heartbeats every kHeartbeat, which extends the live
+/// incarnation's lease. An expired lease re-issues the guardian's copy
+/// unless it is stranded. Only a slot's own monitor advances its G, so a
+/// red slot whose monitor is down for good makes the run undetectable:
+/// guardian and holder then stand down, and the run drains.
+class TokenLease {
+ public:
+  static constexpr SimTime kLease = 240;
+  static constexpr SimTime kHeartbeat = 60;
+
+  /// Issues the token (again) at `now`; returns its new incarnation.
+  std::int64_t issue(SimTime now) {
+    deadline_ = now + kLease;
+    return ++incarnation_;
+  }
+  void heartbeat(std::int64_t inc, SimTime now) {
+    if (inc == incarnation_) deadline_ = now + kLease;
+  }
+  [[nodiscard]] bool expired(SimTime now) const { return now >= deadline_; }
+  [[nodiscard]] SimTime deadline() const { return deadline_; }
+  [[nodiscard]] std::int64_t incarnation() const { return incarnation_; }
+
+  /// Some red slot of `tok` in scope (every slot when `group` < 0) has a
+  /// monitor that crashed with no restart.
+  [[nodiscard]] static bool stranded(const VcToken& tok,
+                                     const sim::Network& net,
+                                     std::span<const ProcessId> slot_to_pid,
+                                     std::span<const int> group_of_slot,
+                                     int group);
+
+ private:
+  std::int64_t incarnation_ = 0;
+  SimTime deadline_ = 0;
+};
 
 /// How one Fig. 3 holder step ended: stalled (the holder's queue ran dry
 /// while its slot is red), forward to slot `next`, or all green (no red

@@ -15,6 +15,7 @@ TokenVcMonitor::TokenVcMonitor(Config cfg) : cfg_(std::move(cfg)) {
 }
 
 void TokenVcMonitor::on_start() {
+  recovering_ = net().has_crashes();
   if (cfg_.slot == 0 && !grouped()) {  // §3.5 tokens come from the leader
     token_.emplace(n());
     process_token();
@@ -28,11 +29,11 @@ void TokenVcMonitor::on_crash() {
   // regenerates it when our heartbeats stop.
   token_.reset();
   waiting_ = false;
-  starved_notified_ = false;
+  stood_down_ = false;
 }
 
 void TokenVcMonitor::on_restart() {
-  if (!cfg_.recovery.enabled || cfg_.shared->detected) return;
+  if (cfg_.shared->detected) return;
   // Genesis regeneration: if this monitor created the token and it never
   // left (so no guardian holds a checkpoint), the crash destroyed the only
   // copy — recreate it. The fast-forward rule in process_token restores the
@@ -57,17 +58,18 @@ void TokenVcMonitor::on_packet(sim::Packet&& p) {
       on_token(std::move(p));
       break;
     case MsgKind::kControl:
-      if (p.payload.type() == typeid(TokenRelease)) {
-        checkpoint_.reset();  // successor moved the token on (or starved)
+      if (p.payload.type() == typeid(TokenStandDown)) {
+        checkpoint_.reset();  // the successor moved the token on, or stood down
         break;
       }
       if (p.payload.type() == typeid(TokenHeartbeat)) {
-        if (checkpoint_.has_value())
-          watch_deadline_ = net().simulator().now() + cfg_.recovery.lease;
+        lease_.heartbeat(
+            sim::payload_cast<TokenHeartbeat>(std::move(p.payload)).incarnation,
+            net().simulator().now());
         break;
       }
       eos_ = true;  // EndOfStream: if we starve now, the run ends idle
-      if (cfg_.recovery.enabled && starved()) notify_starved();
+      if (recovering_ && starved()) stand_down(*token_);
       break;
     default:
       WCP_CHECK_MSG(false, "token-VC monitor got " << to_string(p.kind));
@@ -78,20 +80,19 @@ void TokenVcMonitor::on_token(sim::Packet&& p) {
   auto in = sim::payload_cast<VcToken>(std::move(p.payload));
   net().bump_token_hops();
   const auto s = static_cast<std::size_t>(cfg_.slot);
-  if (!cfg_.recovery.enabled) {
+  if (!recovering_) {
     WCP_CHECK(!token_.has_value());
     // The token is only ever sent to a red slot (Fig. 3 routing).
     WCP_CHECK(in.color[s] == Color::kRed);
   }
-  starved_notified_ = false;  // a fresh token deserves a fresh starve notice
+  stood_down_ = false;  // a fresh token deserves a fresh stand-down notice
   if (token_.has_value()) {
     // Duplicate from a guardian's false-positive regeneration: fold it into
     // the live token (per-slot max — see merge_token) and re-examine.
     merge_token(*token_, in);
   } else {
     token_ = std::move(in);
-    token_sender_ = p.from;
-    has_sender_ = true;
+    guardian_ = p.from;
   }
   process_token();
 }
@@ -146,25 +147,26 @@ void TokenVcMonitor::process_token() {
 
 void TokenVcMonitor::enter_waiting() {
   waiting_ = true;
-  if (!cfg_.recovery.enabled) return;
+  if (!recovering_) return;
   if (starved()) {
-    notify_starved();
+    stand_down(*token_);
     return;
   }
   arm_heartbeat();
 }
 
-void TokenVcMonitor::notify_starved() {
-  // Blocked with the stream over: this token will never move again. Tell
-  // whoever would regenerate it to stand down, so no recovery timer keeps
-  // the simulation alive on an undetectable run.
-  if (starved_notified_) return;
-  starved_notified_ = true;
+void TokenVcMonitor::stand_down(const VcToken& tok) {
+  // Tells the guardian of `tok` to stop guarding it: a Fig. 3 token moved on
+  // or was detected, or the token will never move again (blocked with the
+  // stream over, or stranded: see TokenLease), and no recovery timer may
+  // keep the simulation alive on an undetectable run.
+  if (stood_down_) return;
+  stood_down_ = true;
   if (grouped()) {
-    send(cfg_.leader, MsgKind::kControl,
-         TokenStarved{token_->group, token_->incarnation}, /*bits=*/96);
-  } else if (has_sender_) {
-    send(token_sender_, MsgKind::kControl, TokenRelease{}, /*bits=*/1);
+    send(sim::NodeAddr::coordinator(), MsgKind::kControl,
+         TokenStandDown{tok.group, tok.incarnation}, /*bits=*/96);
+  } else if (guardian_) {
+    send(*guardian_, MsgKind::kControl, TokenStandDown{}, /*bits=*/1);
   }
 }
 
@@ -172,17 +174,17 @@ void TokenVcMonitor::arm_heartbeat() {
   if (hb_armed_) return;
   // Genesis holder before the first forward has no guardian to reassure
   // (it self-recovers in on_restart instead).
-  if (!grouped() && !has_sender_) return;
+  if (!grouped() && !guardian_) return;
   hb_armed_ = true;
-  after(cfg_.recovery.heartbeat, [this] {
+  after(TokenLease::kHeartbeat, [this] {
     hb_armed_ = false;
     if (!waiting_ || !token_.has_value() || cfg_.shared->detected) return;
     if (starved()) {
-      notify_starved();
+      stand_down(*token_);
       return;
     }
-    const sim::NodeAddr guardian = grouped() ? cfg_.leader : token_sender_;
-    send(guardian, MsgKind::kControl,
+    send(grouped() ? sim::NodeAddr::coordinator() : *guardian_,
+         MsgKind::kControl,
          TokenHeartbeat{token_->group, token_->incarnation}, /*bits=*/96);
     ++net().fault_counters().heartbeats;
     arm_heartbeat();
@@ -194,31 +196,28 @@ void TokenVcMonitor::arm_watchdog(SimTime delay) {
   wd_armed_ = true;
   after(delay, [this] {
     wd_armed_ = false;
-    on_watchdog();
+    if (!checkpoint_.has_value() || cfg_.shared->detected) return;
+    const SimTime now = net().simulator().now();
+    if (!lease_.expired(now)) {  // a heartbeat extended the lease
+      arm_watchdog(lease_.deadline() - now);
+      return;
+    }
+    if (TokenLease::stranded(*checkpoint_, net(), cfg_.slot_to_pid, {}, -1)) {
+      checkpoint_.reset();  // undetectable; let the run drain
+      return;
+    }
+    // Lease expired without a heartbeat or release: the successor lost the
+    // token. Re-issue the checkpointed copy under a new incarnation. If the
+    // successor was merely slow, merge_token folds the duplicate away.
+    ++net().fault_counters().token_regenerations;
+    checkpoint_->incarnation = lease_.issue(now);
+    VcToken copy = *checkpoint_;
+    const std::int64_t bits = copy.bits(/*with_v=*/false);
+    send(sim::NodeAddr::monitor(
+             cfg_.slot_to_pid[static_cast<std::size_t>(successor_slot_)]),
+         MsgKind::kToken, std::move(copy), bits);
+    arm_watchdog(TokenLease::kLease);
   });
-}
-
-void TokenVcMonitor::on_watchdog() {
-  if (!checkpoint_.has_value() || cfg_.shared->detected) return;
-  const SimTime now = net().simulator().now();
-  if (now < watch_deadline_) {  // a heartbeat extended the lease
-    arm_watchdog(watch_deadline_ - now);
-    return;
-  }
-  const sim::NodeAddr succ = sim::NodeAddr::monitor(
-      cfg_.slot_to_pid[static_cast<std::size_t>(successor_slot_)]);
-  if (net().is_down_forever(succ)) return;  // undetectable; let the run drain
-  // Lease expired without a heartbeat or release: the successor lost the
-  // token. Re-issue the checkpointed copy under a new incarnation. If the
-  // successor was merely slow, the duplicate is folded away by merge_token.
-  ++net().fault_counters().token_regenerations;
-  VcToken copy = *checkpoint_;
-  ++copy.incarnation;
-  checkpoint_->incarnation = copy.incarnation;
-  const std::int64_t bits = copy.bits(/*with_v=*/grouped());
-  send(succ, MsgKind::kToken, std::move(copy), bits);
-  watch_deadline_ = now + cfg_.recovery.lease;
-  arm_watchdog(cfg_.recovery.lease);
 }
 
 void TokenVcMonitor::route(const TokenStep& step) {
@@ -230,15 +229,22 @@ void TokenVcMonitor::route(const TokenStep& step) {
 
   if (forward) {
     const std::int64_t bits = out.bits(/*with_v=*/grouped());
-    if (cfg_.recovery.enabled && !grouped()) {
-      // Become the successor's guardian: checkpoint what we forward and
-      // watch for its heartbeats; release our own guardian.
-      checkpoint_ = out;
-      successor_slot_ = static_cast<int>(step.next);
-      watch_deadline_ = net().simulator().now() + cfg_.recovery.lease;
-      arm_watchdog(cfg_.recovery.lease);
-      if (has_sender_)
-        send(token_sender_, MsgKind::kControl, TokenRelease{}, /*bits=*/1);
+    if (recovering_) {
+      if (TokenLease::stranded(out, net(), cfg_.slot_to_pid,
+                               cfg_.group_of_slot, out.group)) {
+        // Every red slot left is one no monitor will advance again.
+        stand_down(out);
+        return;
+      }
+      if (!grouped()) {
+        // Become the successor's guardian: checkpoint what we forward under
+        // a fresh lease and watch for its heartbeats; release our own.
+        out.incarnation = lease_.issue(net().simulator().now());
+        checkpoint_ = out;
+        successor_slot_ = static_cast<int>(step.next);
+        arm_watchdog(TokenLease::kLease);
+        stand_down(out);
+      }
     }
     forwarded_ever_ = true;
     send(sim::NodeAddr::monitor(cfg_.slot_to_pid[step.next]), MsgKind::kToken,
@@ -251,7 +257,7 @@ void TokenVcMonitor::route(const TokenStep& step) {
     // which merges it with the other groups' tokens (§3.5).
     const std::int64_t bits = out.bits(/*with_v=*/true);
     forwarded_ever_ = true;
-    send(cfg_.leader, MsgKind::kToken, std::move(out), bits);
+    send(sim::NodeAddr::coordinator(), MsgKind::kToken, std::move(out), bits);
     return;
   }
 
@@ -260,8 +266,7 @@ void TokenVcMonitor::route(const TokenStep& step) {
   shared.detected = true;
   shared.cut = out.G;
   shared.detect_time = net().simulator().now();
-  if (cfg_.recovery.enabled && has_sender_)
-    send(token_sender_, MsgKind::kControl, TokenRelease{}, /*bits=*/1);
+  if (recovering_) stand_down(out);
   if (cfg_.halt_apps) {
     // Distributed breakpoint: freeze the application and let the run
     // drain; the harness reads the frozen states afterwards.
@@ -275,8 +280,7 @@ void TokenVcMonitor::route(const TokenStep& step) {
 
 std::shared_ptr<SharedDetection> install_token_vc_monitors(
     sim::Network& net, const std::vector<ProcessId>& slot_to_pid,
-    const VcTokenObserver& observer, bool halt_apps,
-    const TokenRecoveryOptions& recovery) {
+    const VcTokenObserver& observer, bool halt_apps) {
   WCP_REQUIRE(!slot_to_pid.empty(), "empty predicate");
   auto shared = std::make_shared<SharedDetection>();
   for (std::size_t s = 0; s < slot_to_pid.size(); ++s) {
@@ -286,7 +290,6 @@ std::shared_ptr<SharedDetection> install_token_vc_monitors(
     mc.shared = shared;
     mc.observer = observer;
     mc.halt_apps = halt_apps;
-    mc.recovery = recovery;
     net.add_node(sim::NodeAddr::monitor(slot_to_pid[s]),
                  std::make_unique<TokenVcMonitor>(std::move(mc)));
   }
@@ -296,10 +299,10 @@ std::shared_ptr<SharedDetection> install_token_vc_monitors(
 DetectionResult run_token_vc(const Computation& comp, const RunOptions& opts,
                              const VcTokenObserver& observer) {
   const auto preds = comp.predicate_processes();
-  sim::Network net(network_config(opts, comp.num_processes()));
+  sim::Network net(network_config(opts, comp));
   std::vector<ProcessId> slot_to_pid(preds.begin(), preds.end());
-  auto shared = install_token_vc_monitors(
-      net, slot_to_pid, observer, opts.halt_on_detect, effective_recovery(opts));
+  auto shared = install_token_vc_monitors(net, slot_to_pid, observer,
+                                          opts.halt_on_detect);
 
   app::AppDriverOptions drv;
   drv.compress_clocks = opts.compress_clocks;

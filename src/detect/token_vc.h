@@ -34,25 +34,14 @@ namespace wcp::detect {
 
 static_assert(sim::Payload::fits_inline<VcToken>);
 
-// ---- recovery control payloads (MsgKind::kControl) -----------------------
-
-/// Holder -> guardian: the token moved on (or starved); drop the checkpoint
-/// and stop the watchdog.
-struct TokenRelease {};
-
-/// Holder -> guardian (or group leader): still alive and holding, extend
-/// the lease.
-struct TokenHeartbeat {
-  int group = -1;
-  std::int64_t incarnation = 0;
-};
-
-/// Grouped holder -> leader: holder is blocked with the stream ended, so
-/// this group's token will never return; stop regenerating it.
-struct TokenStarved {
-  int group = -1;
-  std::int64_t incarnation = 0;
-};
+// ---- recovery control payloads (MsgKind::kControl; see TokenLease) ------
+// Holder -> guardian. A heartbeat says the holder of `incarnation` is alive
+// and blocked on a candidate. A stand-down says stop guarding: a §3.5
+// holder names the token it stands down with; a Fig. 3 holder sends it
+// empty once the token moved on, was detected, or stands down, and its
+// guardian drops the one checkpoint it keeps.
+struct TokenHeartbeat { int group = -1; std::int64_t incarnation = 0; };
+struct TokenStandDown { int group = -1; std::int64_t incarnation = 0; };
 
 /// Observation hook fired every time the token is about to be forwarded (or
 /// detection declared). Used by the property-test suite to verify the
@@ -70,17 +59,13 @@ class TokenVcMonitor final : public sim::Node {
 
     // §3.5 multi-token mode: when group_of_slot is non-empty, the token is
     // routed only to red slots of this monitor's own group, and returned to
-    // the leader when none remain; detection happens at the leader.
+    // the leader (the coordinator node) when none remain; detection happens
+    // at the leader.
     std::vector<int> group_of_slot;
-    sim::NodeAddr leader{};
 
     // Distributed breakpoint: on detection, freeze all application
     // processes instead of stopping the simulation.
     bool halt_apps = false;
-
-    // Token-holder crash recovery (lease/heartbeat + guardian regeneration;
-    // disabled by default so fault-free runs are byte-identical).
-    TokenRecoveryOptions recovery;
   };
 
   explicit TokenVcMonitor(Config cfg);
@@ -98,14 +83,14 @@ class TokenVcMonitor final : public sim::Node {
   void route(const TokenStep& step);
   void on_token(sim::Packet&& p);
   void enter_waiting();
-  void notify_starved();
+  void stand_down(const VcToken& tok);
   void arm_heartbeat();
   void arm_watchdog(SimTime delay);
-  void on_watchdog();
   [[nodiscard]] bool grouped() const { return !cfg_.group_of_slot.empty(); }
   [[nodiscard]] std::size_t n() const { return cfg_.slot_to_pid.size(); }
 
   Config cfg_;
+  bool recovering_ = false;       // the network schedules crashes (TokenLease)
   std::optional<VcToken> token_;  // volatile: lost on crash
   bool waiting_ = false;          // holding the token, blocked on a candidate
 
@@ -121,15 +106,14 @@ class TokenVcMonitor final : public sim::Node {
   bool has_last_ = false;
   std::optional<VcToken> checkpoint_;
   int successor_slot_ = -1;       // slot the checkpointed token went to
-  SimTime watch_deadline_ = 0;
+  TokenLease lease_;              // on the checkpointed token
   bool forwarded_ever_ = false;
 
   // Bookkeeping (recomputable, so volatility does not matter).
-  sim::NodeAddr token_sender_{};  // guardian of the token we hold
-  bool has_sender_ = false;
+  std::optional<sim::NodeAddr> guardian_;  // sender of the token we hold
   bool wd_armed_ = false;
   bool hb_armed_ = false;
-  bool starved_notified_ = false;
+  bool stood_down_ = false;       // told the guardian of the token we hold
 };
 
 /// Installs single-token monitors (one per predicate slot; slot 0 starts
@@ -138,8 +122,7 @@ class TokenVcMonitor final : public sim::Node {
 /// is built on this.
 std::shared_ptr<SharedDetection> install_token_vc_monitors(
     sim::Network& net, const std::vector<ProcessId>& slot_to_pid,
-    const VcTokenObserver& observer = {}, bool halt_apps = false,
-    const TokenRecoveryOptions& recovery = {});
+    const VcTokenObserver& observer = {}, bool halt_apps = false);
 
 /// Runs the single-token algorithm online over a replay of `comp`.
 DetectionResult run_token_vc(const Computation& comp, const RunOptions& opts,

@@ -37,7 +37,7 @@ Network::Network(NetworkConfig cfg)
   sim_.set_host(this);
   drop_exact_.insert(cfg_.faults.drop_exact.begin(),
                      cfg_.faults.drop_exact.end());
-  if (cfg_.reliable_all || cfg_.reliable_channels)
+  if (cfg_.reliable_all)
     transport_ = std::make_unique<ReliableTransport>(*this, cfg_.reliable);
 }
 
@@ -70,7 +70,7 @@ Node* Network::node(NodeAddr addr) {
   return i == kNoIndex ? nullptr : nodes_[i].get();
 }
 
-void Network::start_and_run(std::int64_t max_events) {
+void Network::start_and_run() {
   const auto wall_start = std::chrono::steady_clock::now();
   if (!crashes_scheduled_) {
     crashes_scheduled_ = true;
@@ -101,7 +101,7 @@ void Network::start_and_run(std::int64_t max_events) {
   // (applications, then monitors, each by pid, then the coordinator).
   for (const auto& n : nodes_)
     if (n != nullptr) n->on_start();
-  sim_.run(max_events);
+  sim_.run(cfg_.max_events);
   wall_ms_ += std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall_start)
                   .count();
@@ -122,12 +122,6 @@ bool Network::is_fifo(NodeAddr from, NodeAddr to) const {
   // §3.1: application -> its own monitor must be FIFO.
   return from.role == NodeRole::kApplication &&
          (to.role == NodeRole::kMonitor || to.role == NodeRole::kCoordinator);
-}
-
-bool Network::is_reliable(NodeAddr from, NodeAddr to) const {
-  if (!transport_) return false;
-  return cfg_.reliable_all ||
-         (cfg_.reliable_channels && cfg_.reliable_channels(from, to));
 }
 
 void Network::node_after(NodeAddr who, SimTime delay, std::function<void()> fn) {
@@ -165,7 +159,7 @@ void Network::send(NodeAddr from, NodeAddr to, MsgKind kind, Payload&& payload,
                    std::int64_t bits) {
   WCP_REQUIRE(index_of(from) != kNoIndex, "send from outside the network: " << from);
   WCP_REQUIRE(node(to) != nullptr, "send to unknown node " << to);
-  if (is_reliable(from, to)) {
+  if (transport_) {
     transport_->send(from, to, kind, std::move(payload), bits);
     return;
   }
@@ -231,7 +225,7 @@ void Network::raw_send(NodeAddr from, NodeAddr to, MsgKind kind,
   // Raw FIFO clamping is skipped on reliable channels: the transport's
   // resequencing buffer restores order end-to-end, and clamping could not
   // survive a dropped frame anyway.
-  const bool clamp = !is_reliable(from, to) && is_fifo(from, to);
+  const bool clamp = !transport_ && is_fifo(from, to);
   const int copies = duplicate ? 2 : 1;
   for (int c = 0; c < copies; ++c) {
     SimTime deliver_at = sim_.now() + model.sample(rng_);

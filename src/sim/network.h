@@ -98,15 +98,14 @@ struct NetworkConfig {
   /// Fault injection (loss, duplication, bursts, partitions, crashes).
   /// Disabled by default; sampling uses its own Rng (faults.seed).
   FaultPlan faults;
-  /// Reliable-transport tuning for channels that opt in.
+  /// Reliable-transport tuning.
   ReliableConfig reliable;
-  /// Run EVERY channel over the ack/retransmit transport. Detection runners
+  /// Run every channel over the ack/retransmit transport. Detection runners
   /// set this whenever faults are enabled: under loss or duplication, raw
   /// channels break both the replay and the snapshot streams.
   bool reliable_all = false;
-  /// Per-channel opt-in: a channel is reliable iff reliable_all or this
-  /// predicate (when set) returns true for (from, to).
-  std::function<bool(const NodeAddr&, const NodeAddr&)> reliable_channels;
+  /// Event budget of start_and_run (<0: none; see detect::network_config).
+  std::int64_t max_events = -1;
 };
 
 class Network final : private EventHost {
@@ -128,8 +127,13 @@ class Network final : private EventHost {
   [[nodiscard]] Node* node(NodeAddr addr);
 
   /// Calls on_start on every node, then runs the event loop to completion
-  /// (or until a node calls simulator().stop()).
-  void start_and_run(std::int64_t max_events = -1);
+  /// (or until a node calls simulator().stop(), or max_events have run).
+  void start_and_run();
+
+  /// The event budget ended the run with events still pending.
+  [[nodiscard]] bool truncated() const {
+    return !sim_.stopped() && !sim_.idle();
+  }
 
   void send(NodeAddr from, NodeAddr to, MsgKind kind, Payload&& payload,
             std::int64_t bits);
@@ -162,6 +166,8 @@ class Network final : private EventHost {
   [[nodiscard]] const FaultCounters& fault_counters() const {
     return fault_counters_;
   }
+  /// Crashes are scheduled, so token recovery runs (detect::TokenLease).
+  [[nodiscard]] bool has_crashes() const { return cfg_.faults.has_crashes(); }
   /// True while `a` is inside a scheduled crash window.
   [[nodiscard]] bool is_down(NodeAddr a) const {
     const std::size_t i = index_of(a);
@@ -176,8 +182,6 @@ class Network final : private EventHost {
   /// Raw transmissions attempted so far (including retransmits and acks);
   /// the index space FaultPlan::drop_exact addresses.
   [[nodiscard]] std::int64_t raw_sends() const { return raw_sends_; }
-  /// Whether (from, to) runs over the ack/retransmit transport.
-  [[nodiscard]] bool is_reliable(NodeAddr from, NodeAddr to) const;
 
   /// Schedule `fn` as a local timer of node `who`: if `who` is down when the
   /// timer fires, it is deferred until just after the restart.
@@ -227,7 +231,7 @@ class Network final : private EventHost {
   Metrics app_metrics_;
   Metrics monitor_metrics_;
   FaultCounters fault_counters_;
-  std::unique_ptr<ReliableTransport> transport_;  // set iff any channel opts in
+  std::unique_ptr<ReliableTransport> transport_;  // set iff reliable_all
   std::unordered_set<std::int64_t> drop_exact_;
   std::int64_t raw_sends_ = 0;
   bool crashes_scheduled_ = false;

@@ -3,18 +3,22 @@
 // duplicates, bursts, and partitions messages, and when the monitor that
 // holds the token crashes mid-run. The detectors themselves are unchanged —
 // the reliable transport (sim/reliable.h) restores the §2 channel
-// assumptions and the token lease/heartbeat recovery (detect/token_vc,
-// detect/multi_token) restores the single-token invariant across crashes.
+// assumptions and the token lease/heartbeat recovery (TokenLease in
+// detect/stream_core.h) restores the single-token invariant across crashes.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/json.h"
+#include "detect/algo.h"
 #include "detect/centralized.h"
 #include "detect/direct_dep.h"
 #include "detect/multi_token.h"
 #include "detect/sliced.h"
 #include "detect/token_vc.h"
+#include "trace/trace_store.h"
 #include "workload/random_workload.h"
 
 namespace wcp::detect {
@@ -152,32 +156,65 @@ TEST(FaultTransport, TokenDetectorsSurviveHolderCrashOn50Seeds) {
 }
 
 TEST(FaultTransport, PermanentMonitorCrashTerminatesWithoutFalsePositive) {
-  // A monitor that never comes back can make detection impossible — but it
-  // must never produce a wrong answer, and the simulation must drain
-  // (recovery and retransmission both give up on forever-dead nodes).
+  // Crash-without-restart plans over every algorithm-table entry that
+  // injects faults: each predicate monitor, and the coordinator, dies for
+  // good, under fault seeds 1-3. A dead monitor can make detection
+  // impossible, but every run must drain on its own, inside its event
+  // budget (token recovery and retransmission both give up on forever-dead
+  // nodes), and a "detected" verdict is always the oracle's first cut. The
+  // committed rand_n4 trace runs the plain crash plans at the default
+  // latency; eight random computations run them under 10% loss, at
+  // latency uniform(1,4), run seed k+3 and also their own fault seed k+41.
+  struct Case {
+    Computation comp;
+    std::string loss;  // spec prefix
+    int at;            // crash time
+    std::vector<int> fault_seeds;
+    std::uint64_t run_seed;
+    sim::LatencyModel latency;
+  };
+  std::vector<Case> cases;
+  const AlgoOptions defaults;
+  cases.push_back({load_any_trace_file(WCP_EXAMPLE_TRACES "/rand_n4.trace"),
+                   "", 5, {1, 2, 3}, defaults.run.seed,
+                   defaults.run.latency});
+  for (int k = 0; k < 8; ++k)
+    cases.push_back({random_case(900 + static_cast<std::uint64_t>(k)),
+                     "drop=0.1,", 15, {1, 2, 3, 41 + k},
+                     static_cast<std::uint64_t>(k) + 3,
+                     sim::LatencyModel::uniform(1, 4)});
   std::int64_t crashes_seen = 0;
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const auto comp = random_case(seed + 900);
-    const auto oracle = comp.first_wcp_cut();
-    const auto preds = comp.predicate_processes();
-
-    RunOptions o;
-    o.seed = seed + 3;
-    o.latency = sim::LatencyModel::uniform(1, 4);
-    o.faults = sim::FaultPlan::lossy(0.1, seed + 41);
-    o.faults.crashes.push_back(
-        {sim::NodeAddr::monitor(preds.back()), /*at=*/15, /*restart=*/-1});
-
-    const auto token = run_token_vc(comp, o);
-    // Soundness survives: a verdict of "detected" is always the oracle cut.
-    if (token.detected) {
-      ASSERT_TRUE(oracle.has_value()) << "seed " << seed;
-      EXPECT_EQ(token.cut, *oracle) << "seed " << seed;
+  for (const Case& c : cases) {
+    const auto oracle = c.comp.first_wcp_cut();
+    std::vector<std::string> targets = {"c"};
+    for (const ProcessId p : c.comp.predicate_processes())
+      targets.push_back(std::string("m").append(std::to_string(p.value())));
+    for (const AlgoEntry& entry : algos()) {
+      if (!entry.faults) continue;
+      for (const std::string& target : targets)
+        for (const int seed : c.fault_seeds) {
+          AlgoOptions o;
+          o.run.seed = c.run_seed;
+          o.run.latency = c.latency;
+          o.run.faults = sim::FaultPlan::parse(
+              c.loss + "crash=" + target + "@" + std::to_string(c.at) +
+              ",seed=" + std::to_string(seed));
+          const std::string where = std::string(entry.name) + " " +
+                                    o.run.faults.to_string();
+          const AlgoRun r = run_algo(entry.name, c.comp, o);
+          EXPECT_FALSE(r.truncated) << where;
+          if (r.verdict) {
+            ASSERT_TRUE(oracle.has_value()) << where;
+            EXPECT_EQ(r.cut, *oracle) << where;
+          }
+          if (r.sim) {
+            EXPECT_EQ(r.sim->faults.restarts, 0) << where;
+            crashes_seen += r.sim->faults.crashes;
+          }
+        }
     }
-    EXPECT_EQ(token.faults.restarts, 0) << "seed " << seed;
-    crashes_seen += token.faults.crashes;
   }
-  EXPECT_GT(crashes_seen, 0);  // the dead-monitor path actually ran
+  EXPECT_GT(crashes_seen, 0);  // the dead-node paths actually ran
 }
 
 TEST(FaultTransport, CrashAndRestartCountersSurfaceInResult) {

@@ -10,8 +10,11 @@
 
 #include "common/json.h"
 #include "common/metrics.h"
+#include "app/app_driver.h"
 #include "detect/report.h"
+#include "detect/result.h"
 #include "detect/token_vc.h"
+#include "sim/network.h"
 #include "workload/random_workload.h"
 
 namespace wcp {
@@ -244,6 +247,65 @@ TEST(JsonReport, IdenticalRunsProduceByteIdenticalReports) {
     return v->dump();
   };
   EXPECT_EQ(strip(), strip());
+}
+
+TEST(JsonReport, TruncatedRunIsNamedInReportAndText) {
+  workload::RandomSpec spec;
+  spec.num_processes = 5;
+  spec.num_predicate = 3;
+  spec.events_per_process = 15;
+  spec.ensure_detectable = true;
+  spec.seed = 11;
+  const auto comp = workload::make_random(spec);
+  const auto preds = comp.predicate_processes();
+  const std::vector<ProcessId> slot_to_pid(preds.begin(), preds.end());
+
+  detect::RunOptions o;
+  o.seed = 3;
+  detect::ReportParams rp;
+  rp.N = 5;
+  rp.n = 3;
+  rp.m = comp.max_messages_per_process();
+  rp.seed = 3;
+
+  // The same token run twice: under its own event budget, and with the
+  // budget cut by hand to 10 events, far short of the run.
+  auto run = [&](std::int64_t max_events) {
+    sim::NetworkConfig cfg = detect::network_config(o, comp);
+    if (max_events >= 0) cfg.max_events = max_events;
+    sim::Network net(cfg);
+    const auto shared = detect::install_token_vc_monitors(net, slot_to_pid);
+    return detect::replay(net, comp, app::AppDriverOptions{}, o, *shared);
+  };
+  const auto text = [](const detect::DetectionResult& r) {
+    std::ostringstream os;
+    os << r;
+    return os.str();
+  };
+  const auto report = [&](const detect::DetectionResult& r) {
+    auto v = json::parse(detect::run_report_string(
+        "test:token", rp, r, std::nullopt, std::nullopt, false));
+    EXPECT_TRUE(v.has_value());
+    return *v;
+  };
+
+  const auto done = run(-1);
+  ASSERT_FALSE(done.truncated);
+  ASSERT_TRUE(done.detected);
+  EXPECT_EQ(text(done).find("truncated"), std::string::npos);
+  EXPECT_EQ(report(done).find("metrics")->find("truncated"), nullptr);
+
+  const auto cut = run(10);
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_FALSE(cut.detected);
+  EXPECT_EQ(cut.sim_events, 10);
+  const std::string t = text(cut);
+  EXPECT_EQ(t.rfind("inconclusive ", 0), 0u) << t;
+  EXPECT_NE(t.find(" (truncated)"), std::string::npos) << t;
+  const auto v = report(cut);
+  const auto* truncated = v.find("metrics")->find("truncated");
+  ASSERT_NE(truncated, nullptr);
+  EXPECT_EQ(truncated->integer, 1);
 }
 
 }  // namespace

@@ -180,10 +180,12 @@ TEST(Payload, DestroyedOnceAcrossSlabReuse) {
       cfg.latency = LatencyModel::uniform(1, 6);
       cfg.faults.dup = 0.3;  // duplicates copy the payload
       cfg.faults.seed = 5;
+      cfg.max_events = max_events;
       Network net(cfg);
       net.add_node(NodeAddr::app(ProcessId(0)), std::make_unique<Echo>());
       net.add_node(NodeAddr::app(ProcessId(1)), std::make_unique<Echo>());
-      net.start_and_run(max_events);
+      net.start_and_run();
+      EXPECT_EQ(net.truncated(), max_events >= 0);
       EXPECT_GT(net.fault_counters().dups, 0);
       EXPECT_GE(net.simulator().events_processed(), 10);
       // Drained: nothing parked. Capped: the in-flight packets still are.
