@@ -8,7 +8,7 @@
 
 #include "bench_common.h"
 #include "detect/chandy_lamport.h"
-#include "detect/gcp_online.h"
+#include "detect/centralized.h"
 #include "workload/termination_workload.h"
 
 namespace wcp::bench {

@@ -5,13 +5,13 @@
 // Counters:
 //   snapshots          local snapshots streamed to the checker
 //   snapshot_bits      includes the 2N-word channel counters per snapshot
-//   eliminations       head eliminations until the true termination cut
-//   channel_evals      channel-predicate evaluations
-//   work_per_snapshot  checker work normalized by input size (~flat)
+//   checker_work       comparisons and channel-predicate evaluations, plus
+//                      N units per snapshot received
+//   work_per_snapshot  checker work normalized by input size
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "detect/gcp_online.h"
+#include "detect/centralized.h"
 #include "workload/termination_workload.h"
 
 namespace wcp::bench {

@@ -6,22 +6,31 @@
 //
 //   $ ./crossover_study [N] [events_per_process] [seed]
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
 #include "detect/direct_dep.h"
 #include "detect/token_vc.h"
+#include "example_args.h"
 #include "workload/random_workload.h"
 
 int main(int argc, char** argv) {
   using namespace wcp;
 
-  const std::size_t N = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 24;
-  const std::int64_t events =
-      argc > 2 ? std::strtol(argv[2], nullptr, 10) : 30;
-  const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 17;
+  std::size_t N = 0;
+  std::int64_t events = 0;
+  std::uint64_t seed = 0;
+  try {
+    // The sweep starts at predicate width 2, which needs N >= 2.
+    const examples::Args args("crossover_study", argc, argv);
+    N = static_cast<std::size_t>(
+        args.integer(1, "N", 24, 2, examples::kMaxProcesses));
+    events = args.integer(2, "events_per_process", 30, 0);
+    seed = static_cast<std::uint64_t>(args.integer(3, "seed", 17, 0));
+  } catch (const FlagError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 
   std::cout << "n-vs-N crossover study: N=" << N << ", ~" << events
             << " events/process, seed " << seed << "\n";

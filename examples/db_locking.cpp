@@ -9,22 +9,32 @@
 // crossover the paper's §4.4 discusses.
 //
 //   $ ./db_locking [readers] [writers] [rounds] [violation_prob] [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "detect/direct_dep.h"
 #include "detect/token_vc.h"
+#include "example_args.h"
 #include "workload/db_workload.h"
 
 int main(int argc, char** argv) {
   using namespace wcp;
 
   workload::DbSpec spec;
-  spec.num_readers = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 4;
-  spec.num_writers = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 3;
-  spec.rounds = argc > 3 ? std::strtol(argv[3], nullptr, 10) : 8;
-  spec.violation_prob = argc > 4 ? std::strtod(argv[4], nullptr) : 0.2;
-  spec.seed = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 7;
+  try {
+    // Readers, writers and the lock manager share one process id space.
+    const examples::Args args("db_locking", argc, argv);
+    const std::int64_t half = examples::kMaxProcesses / 2;
+    spec.num_readers =
+        static_cast<std::size_t>(args.integer(1, "readers", 4, 1, half));
+    spec.num_writers =
+        static_cast<std::size_t>(args.integer(2, "writers", 3, 1, half - 1));
+    spec.rounds = args.integer(3, "rounds", 8, 1);
+    spec.violation_prob = args.probability(4, "violation_prob", 0.2);
+    spec.seed = static_cast<std::uint64_t>(args.integer(5, "seed", 7, 0));
+  } catch (const FlagError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 
   const auto db = workload::make_db(spec);
   const auto& comp = db.computation;

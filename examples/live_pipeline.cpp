@@ -11,12 +11,13 @@
 // oracle afterwards.
 //
 //   $ ./live_pipeline [workers] [jobs] [seed]
-#include <cstdlib>
 #include <deque>
 #include <iostream>
+#include <limits>
 
 #include "app/instrument.h"
 #include "detect/token_vc.h"
+#include "example_args.h"
 
 namespace {
 
@@ -126,11 +127,22 @@ class Collector final : public sim::Node {
 int main(int argc, char** argv) {
   using namespace wcp;
 
-  const std::size_t num_workers =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 3;
-  const int jobs = argc > 2 ? static_cast<int>(std::strtol(argv[2], nullptr, 10)) : 9;
-  const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 5;
+  std::size_t num_workers = 0;
+  int jobs = 0;
+  std::uint64_t seed = 0;
+  try {
+    // The workers are the predicate; the producer and collector take the
+    // two process ids after them.
+    const examples::Args args("live_pipeline", argc, argv);
+    num_workers = static_cast<std::size_t>(
+        args.integer(1, "workers", 3, 1, examples::kMaxProcesses - 2));
+    jobs = static_cast<int>(
+        args.integer(2, "jobs", 9, 0, std::numeric_limits<int>::max()));
+    seed = static_cast<std::uint64_t>(args.integer(3, "seed", 5, 0));
+  } catch (const FlagError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 
   // Layout: workers P0..Pk-1, producer Pk, collector Pk+1.
   const std::size_t N = num_workers + 2;

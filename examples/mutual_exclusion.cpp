@@ -8,21 +8,28 @@
 // with the direct-dependence algorithm.
 //
 //   $ ./mutual_exclusion [num_clients] [rounds] [violation_prob] [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "detect/direct_dep.h"
 #include "detect/token_vc.h"
+#include "example_args.h"
 #include "workload/mutex_workload.h"
 
 int main(int argc, char** argv) {
   using namespace wcp;
 
   workload::MutexSpec spec;
-  spec.num_clients = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 3;
-  spec.rounds_per_client = argc > 2 ? std::strtol(argv[2], nullptr, 10) : 8;
-  spec.violation_prob = argc > 3 ? std::strtod(argv[3], nullptr) : 0.15;
-  spec.seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 2024;
+  try {
+    const examples::Args args("mutual_exclusion", argc, argv);
+    spec.num_clients = static_cast<std::size_t>(
+        args.integer(1, "num_clients", 3, 2, examples::kMaxProcesses - 1));
+    spec.rounds_per_client = args.integer(2, "rounds", 8, 1);
+    spec.violation_prob = args.probability(3, "violation_prob", 0.15);
+    spec.seed = static_cast<std::uint64_t>(args.integer(4, "seed", 2024, 0));
+  } catch (const FlagError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 
   std::cout << "mutex run: " << spec.num_clients << " clients, "
             << spec.rounds_per_client << " rounds, violation_prob="

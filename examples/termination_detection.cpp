@@ -12,21 +12,28 @@
 //   3. the ground truth from the workload generator agreeing with 2.
 //
 //   $ ./termination_detection [processes] [initial_work] [spawn_prob] [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "detect/gcp.h"
 #include "detect/token_vc.h"
+#include "example_args.h"
 #include "workload/termination_workload.h"
 
 int main(int argc, char** argv) {
   using namespace wcp;
 
   workload::TerminationSpec spec;
-  spec.num_processes = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5;
-  spec.initial_work = argc > 2 ? std::strtol(argv[2], nullptr, 10) : 4;
-  spec.spawn_prob = argc > 3 ? std::strtod(argv[3], nullptr) : 0.4;
-  spec.seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 21;
+  try {
+    const examples::Args args("termination_detection", argc, argv);
+    spec.num_processes = static_cast<std::size_t>(
+        args.integer(1, "processes", 5, 2, examples::kMaxProcesses));
+    spec.initial_work = args.integer(2, "initial_work", 4, 0);
+    spec.spawn_prob = args.probability(3, "spawn_prob", 0.4);
+    spec.seed = static_cast<std::uint64_t>(args.integer(4, "seed", 21, 0));
+  } catch (const FlagError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 
   const auto t = workload::make_termination(spec);
   const auto& comp = t.computation;

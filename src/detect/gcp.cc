@@ -4,9 +4,12 @@
 #include <map>
 #include <ostream>
 
+#include "app/snapshot.h"
+#include "app/snapshot_stream.h"
 #include "common/cut_hash.h"
 #include "common/cut_storage.h"
 #include "common/error.h"
+#include "detect/stream_core.h"
 
 namespace wcp::detect {
 
@@ -99,73 +102,49 @@ GcpResult detect_gcp(const Computation& comp,
   std::map<ProcessId, std::size_t> slot_of;
   for (std::size_t s = 0; s < w; ++s) slot_of[res.procs[s]] = s;
 
-  // Admissible states per slot: local-predicate states for predicate
-  // processes, every state otherwise.
-  std::vector<std::vector<StateIndex>> cand(w);
-  for (std::size_t s = 0; s < w; ++s) {
+  // The advance-candidate loop is CentralizedCore's, channel step included.
+  // A head's own clock component is its state index, at which the channel
+  // step reads the per-channel send/receive positions.
+  std::vector<std::vector<app::VcSnapshot>> states(w);
+  std::vector<bool> eos(w, false);
+  const app::SnapshotStateStream stream(states, &eos);
+  std::vector<CentralizedCore::Channel> chans;
+  std::vector<ChannelCounts> counts;
+  for (const auto& cp : channels) {
+    chans.push_back({cp, slot_of.at(cp.from), slot_of.at(cp.to)});
+    counts.push_back(build_counts(comp, cp.from, cp.to));
+  }
+  auto transit = [&](std::size_t c, StateIndex from_pos, StateIndex to_pos) {
+    const std::size_t f = chans[c].from, t = chans[c].to;
+    return counts[c].sent_before(stream.clock(f, from_pos, f)) -
+           counts[c].received_at(stream.clock(t, to_pos, t));
+  };
+  CentralizedCore core(stream, {}, chans, transit);
+
+  // Each slot's candidates, one slot after another: the local-predicate
+  // states of a predicate process, every state of an endpoint outside the
+  // predicate, each with its ground-truth clock projected onto the GCP's
+  // process set. A slot's stream ends once all its candidates are in.
+  for (std::size_t s = 0; s < w && !core.done(); ++s) {
     const ProcessId p = res.procs[s];
     const bool constrained = comp.predicate_slot(p) >= 0;
-    for (StateIndex k = 1; k <= comp.num_states(p); ++k)
-      if (!constrained || comp.local_pred(p, k)) cand[s].push_back(k);
-    if (cand[s].empty()) return res;  // local predicate never holds
-  }
-
-  struct ChannelState {
-    ChannelPredicate pred;
-    ChannelCounts counts;
-    std::size_t from_slot, to_slot;
-  };
-  std::vector<ChannelState> chans;
-  chans.reserve(channels.size());
-  for (const auto& cp : channels)
-    chans.push_back(ChannelState{cp, build_counts(comp, cp.from, cp.to),
-                                 slot_of.at(cp.from), slot_of.at(cp.to)});
-
-  std::vector<std::size_t> pos(w, 0);
-  auto advance = [&](std::size_t s) -> bool {
-    ++res.eliminations;
-    return ++pos[s] < cand[s].size();
-  };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Consistency eliminations (ground-truth happened-before).
-    for (std::size_t s = 0; s < w && !changed; ++s) {
-      for (std::size_t t = 0; t < w; ++t) {
-        if (s == t) continue;
-        if (comp.happened_before(res.procs[s], cand[s][pos[s]], res.procs[t],
-                                 cand[t][pos[t]])) {
-          if (!advance(s)) return res;
-          changed = true;
-          break;
-        }
-      }
+    for (StateIndex k = 1; k <= comp.num_states(p) && !core.done(); ++k) {
+      if (constrained && !comp.local_pred(p, k)) continue;
+      std::vector<StateIndex> clock(w);
+      for (std::size_t t = 0; t < w; ++t)
+        clock[t] = comp.clock_component(p, k, res.procs[t]);
+      states[s].emplace_back().vclock = VectorClock(std::move(clock));
+      core.on_state(s);
     }
-    if (changed) continue;
-
-    // Channel-predicate eliminations (linear-predicate forbidden states).
-    for (const auto& ch : chans) {
-      ++res.channel_evals;
-      const std::int64_t transit =
-          ch.counts.sent_before(cand[ch.from_slot][pos[ch.from_slot]]) -
-          ch.counts.received_at(cand[ch.to_slot][pos[ch.to_slot]]);
-      if (ch.pred.holds(transit)) continue;
-      // Violated: for receiver-monotone predicates (empty / at-most) the
-      // receiver's candidate can never appear in the first satisfying cut;
-      // for sender-monotone (at-least) the sender's can't (see gcp.h).
-      const std::size_t victim =
-          ch.pred.kind == ChannelPredicate::Kind::kAtLeast ? ch.from_slot
-                                                           : ch.to_slot;
-      if (!advance(victim)) return res;
-      changed = true;
-      break;
-    }
+    eos[s] = true;
+    core.on_eos(s);
   }
+  WCP_CHECK(core.done());
 
-  res.detected = true;
-  res.cut.resize(w);
-  for (std::size_t s = 0; s < w; ++s) res.cut[s] = cand[s][pos[s]];
+  res.detected = core.detected();
+  res.cut = core.cut();
+  res.eliminations = core.eliminations();
+  res.channel_evals = core.channel_evals();
   return res;
 }
 

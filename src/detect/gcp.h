@@ -12,10 +12,12 @@
 //   kAtLeast  in_transit >= k   violating cut => advance the SENDER
 //
 // Both families are closed under pointwise meet on consistent cuts, so the
-// conjunction has a unique minimal satisfying cut; detect_gcp finds it with
-// the advance-candidate strategy (local-predicate + consistency + channel
-// eliminations), and detect_gcp_lattice provides the brute-force oracle the
-// tests compare against.
+// conjunction has a unique minimal satisfying cut. CentralizedCore
+// (detect/stream_core.h) finds it by advancing candidates: queue-head
+// consistency eliminations plus a channel step that pops the victim of the
+// first violated channel predicate. detect_gcp hosts it offline and
+// run_gcp_centralized (detect/centralized.h) on the simulator;
+// detect_gcp_lattice is the brute-force oracle the tests compare against.
 //
 // The flagship instance is distributed termination detection:
 //   (forall i: passive_i)  ∧  (forall channels: empty)
@@ -75,14 +77,16 @@ struct GcpResult {
   /// computation plus every channel endpoint, in `procs` order.
   std::vector<ProcessId> procs;
   std::vector<StateIndex> cut;
-  std::int64_t eliminations = 0;       // states discarded
+  /// States discarded until the verdict. A not-detected run stops when
+  /// the first slot runs dry, which depends on the elimination order.
+  std::int64_t eliminations = 0;
   std::int64_t channel_evals = 0;      // channel-predicate evaluations
   std::int64_t cuts_explored = 0;      // lattice oracle only
   CutStorageStats storage;             // lattice oracle only
 };
 
-/// Advance-candidate GCP detection (offline; operates on the computation's
-/// ground-truth causality).
+/// Advance-candidate GCP detection offline: CentralizedCore fed every
+/// candidate with its ground-truth clock, slot by slot.
 GcpResult detect_gcp(const Computation& comp,
                      std::span<const ChannelPredicate> channels);
 

@@ -116,10 +116,20 @@ std::int64_t TokenCore::resident_bytes() const {
 // ---------------------------------------------------------------------------
 
 CentralizedCore::CentralizedCore(const app::StateStream& stream,
-                                 app::CoreHooks hooks)
-    : stream_(stream), hooks_(std::move(hooks)) {
+                                 app::CoreHooks hooks,
+                                 std::vector<Channel> channels,
+                                 TransitReader transit)
+    : stream_(stream),
+      hooks_(std::move(hooks)),
+      channels_(std::move(channels)),
+      transit_(std::move(transit)) {
   const std::size_t n = stream_.slots();
   WCP_REQUIRE(n >= 1, "empty predicate");
+  WCP_REQUIRE(channels_.empty() || transit_,
+              "channel predicates need a transit reader");
+  for (const Channel& ch : channels_)
+    WCP_REQUIRE(ch.from < n && ch.to < n,
+                "channel endpoint of " << ch.pred << " has no slot");
   queue_.resize(n);
   in_dirty_.assign(n, false);
 }
@@ -161,41 +171,64 @@ void CentralizedCore::pop_head(std::size_t s) {
 }
 
 void CentralizedCore::process() {
-  while (!dirty_.empty()) {
-    const std::size_t s = dirty_.front();
-    dirty_.pop_front();
-    in_dirty_[s] = false;
-    if (queue_[s].empty()) continue;  // re-queued when a head arrives
+  do {
+    // A slot that starved after its stream ended makes the verdict final:
+    // stop eliminating.
+    while (!dirty_.empty() && !done_) {
+      const std::size_t s = dirty_.front();
+      dirty_.pop_front();
+      in_dirty_[s] = false;
+      if (queue_[s].empty()) continue;  // re-queued when a head arrives
 
-    bool s_eliminated = false;
-    const StateIndex head_s = queue_[s].front();
-    for (std::size_t t = 0; t < n() && !s_eliminated; ++t) {
-      if (t == s || queue_[t].empty()) continue;
-      const StateIndex head_t = queue_[t].front();
-      hooks_.add_work(1);
-      // Own-component happened-before tests (O(1) each).
-      if (stream_.clock(t, head_t, s) >= stream_.clock(s, head_s, s)) {
-        // head_s -> head_t: eliminate s.
-        pop_head(s);
-        s_eliminated = true;
-      } else if (stream_.clock(s, head_s, t) >= stream_.clock(t, head_t, t)) {
-        // head_t -> head_s: eliminate t.
-        pop_head(t);
+      bool s_eliminated = false;
+      const StateIndex head_s = queue_[s].front();
+      for (std::size_t t = 0; t < n() && !s_eliminated; ++t) {
+        if (t == s || queue_[t].empty()) continue;
+        const StateIndex head_t = queue_[t].front();
+        hooks_.add_work(1);
+        // Own-component happened-before tests (O(1) each).
+        if (stream_.clock(t, head_t, s) >= stream_.clock(s, head_s, s)) {
+          // head_s -> head_t: eliminate s.
+          pop_head(s);
+          s_eliminated = true;
+        } else if (stream_.clock(s, head_s, t) >=
+                   stream_.clock(t, head_t, t)) {
+          // head_t -> head_s: eliminate t.
+          pop_head(t);
+        }
       }
     }
-    if (s_eliminated) continue;
-  }
 
-  // dirty empty: all present heads are pairwise concurrent. Detection needs
-  // all n heads present.
-  for (std::size_t s = 0; s < n(); ++s)
-    if (queue_[s].empty()) return;
+    // Unless a slot starved, all present heads are pairwise concurrent.
+    // Detection needs all n heads present.
+    for (std::size_t s = 0; s < n(); ++s)
+      if (queue_[s].empty()) return;
+  } while (!channels_.empty() && channel_step());
 
   done_ = true;
   detected_ = true;
   cut_.resize(n());
   for (std::size_t s = 0; s < n(); ++s)
     cut_[s] = stream_.clock(s, queue_[s].front(), s);
+}
+
+bool CentralizedCore::channel_step() {
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    const Channel& ch = channels_[c];
+    ++channel_evals_;
+    hooks_.add_work(1);
+    if (ch.pred.holds(
+            transit_(c, queue_[ch.from].front(), queue_[ch.to].front())))
+      continue;
+    // Violated on a consistent head cut: a linear predicate's forbidden
+    // state. Receiver-monotone predicates (empty / at-most) stay violated
+    // while the receiver keeps its head, sender-monotone ones (at-least)
+    // while the sender keeps its head (detect/gcp.h).
+    pop_head(ch.pred.kind == ChannelPredicate::Kind::kAtLeast ? ch.from
+                                                              : ch.to);
+    return true;
+  }
+  return false;
 }
 
 StateIndex CentralizedCore::frontier(std::size_t s) const {

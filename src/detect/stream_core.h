@@ -12,8 +12,11 @@
 //                      step (TokenCore::step) is the only Fig. 3 loop: the
 //                      token_vc.h monitors and the multi_token.h leader
 //                      run it too.
-//   CentralizedCore  — Garg & Waldecker queue-head elimination, extracted
-//                      verbatim from CentralizedChecker::process().
+//   CentralizedCore  — Garg & Waldecker queue-head elimination plus the
+//                      GCP channel step of reference [6]: the only
+//                      advance-candidate loop. CentralizedChecker (WCP and
+//                      run_gcp_centralized), the serve checker
+//                      subscription and detect_gcp host it.
 //   LatticeOnlineCore— the online Cooper-Marzullo level-ordered lattice
 //                      exploration, extracted verbatim from
 //                      LatticeChecker::drain(), plus a collect() that
@@ -26,11 +29,14 @@
 // stats — is byte-identical to the pre-extraction implementation
 // (tests/centralized_test, tests/lattice_online_test). The offline token
 // run (detect/offline.h) hosts TokenCore the same way, charging work and
-// token hops to the holder's monitor (tests/offline_test).
+// token hops to the holder's monitor (tests/offline_test), and detect_gcp
+// hosts CentralizedCore over ground-truth clocks (the gcp-online and
+// gcp-offline records of tests/golden_report_test).
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <span>
 #include <utility>
@@ -40,6 +46,7 @@
 #include "clock/vector_clock.h"
 #include "common/cut_storage.h"
 #include "common/types.h"
+#include "detect/gcp.h"
 
 namespace wcp::sim {
 class Network;
@@ -219,10 +226,29 @@ class TokenCore final : public app::StreamCore {
   std::vector<StateIndex> cut_;
 };
 
-/// Garg & Waldecker centralized checker over a candidate stream.
+/// Garg & Waldecker centralized checker over a candidate stream, and the
+/// generalized conjunctive predicate (GCP) checker of reference [6]: the
+/// same queue-head elimination plus one channel step. Once all n heads are
+/// present and pairwise concurrent, the channel predicates are evaluated in
+/// order; the first violated one pops its victim's head (the receiver for
+/// empty/at-most, the sender for at-least: see detect/gcp.h) and the
+/// consistency loop resumes. With no channel predicates it is the WCP
+/// checker.
 class CentralizedCore final : public app::StreamCore {
  public:
-  CentralizedCore(const app::StateStream& stream, app::CoreHooks hooks);
+  /// A channel predicate over the core's slots.
+  struct Channel {
+    ChannelPredicate pred;
+    std::size_t from, to;  // slots of pred.from and pred.to
+  };
+  /// Messages in transit on channel `c` at the cut position (head of slot
+  /// `from` at `from_pos`, head of slot `to` at `to_pos`).
+  using TransitReader = std::function<std::int64_t(
+      std::size_t c, StateIndex from_pos, StateIndex to_pos)>;
+
+  CentralizedCore(const app::StateStream& stream, app::CoreHooks hooks,
+                  std::vector<Channel> channels = {},
+                  TransitReader transit = {});
 
   void on_state(std::size_t s) override;
   void on_eos(std::size_t s) override;
@@ -236,18 +262,25 @@ class CentralizedCore final : public app::StreamCore {
   [[nodiscard]] std::int64_t resident_bytes() const override;
 
   [[nodiscard]] std::int64_t eliminations() const { return eliminations_; }
+  [[nodiscard]] std::int64_t channel_evals() const { return channel_evals_; }
 
  private:
   void process();
+  /// Pops the victim head of the first violated channel predicate; false
+  /// when every one holds on the current head cut.
+  [[nodiscard]] bool channel_step();
   void pop_head(std::size_t s);
   [[nodiscard]] std::size_t n() const { return queue_.size(); }
 
   const app::StateStream& stream_;
   app::CoreHooks hooks_;
+  std::vector<Channel> channels_;
+  TransitReader transit_;
   std::vector<std::deque<StateIndex>> queue_;  // candidate positions
   std::deque<std::size_t> dirty_;  // slots whose head needs comparison
   std::vector<bool> in_dirty_;
   std::int64_t eliminations_ = 0;
+  std::int64_t channel_evals_ = 0;
   bool done_ = false;
   bool detected_ = false;
   std::vector<StateIndex> cut_;

@@ -9,7 +9,7 @@
 //               Instrument, snapshot formats)
 //   wcp::pred   local-predicate expression language, variable traces
 //   wcp::detect all detectors: token_vc / multi_token / direct_dep /
-//               centralized / gcp(_online) / lattice / definitely /
+//               centralized (+ GCP) / gcp / lattice / definitely /
 //               boolean DNF / relational / chandy_lamport / offline /
 //               lower_bound
 //   wcp::workload  synthetic and domain workload generators
@@ -44,7 +44,6 @@
 #include "detect/chandy_lamport.h"
 #include "detect/direct_dep.h"
 #include "detect/gcp.h"
-#include "detect/gcp_online.h"
 #include "detect/lattice.h"
 #include "detect/lattice_online.h"
 #include "detect/lower_bound.h"

@@ -1,4 +1,4 @@
-#include "detect/gcp_online.h"
+#include "detect/centralized.h"
 
 #include <gtest/gtest.h>
 
