@@ -124,17 +124,4 @@ std::shared_ptr<const ByteSource> ByteSource::from_bytes(std::string_view data,
                                             std::move(name));
 }
 
-ByteSourceStream::Buf::Buf(std::span<const std::byte> bytes) {
-  // The stream is read-only; std::streambuf's get-area API regrettably
-  // wants non-const pointers, but we never expose a put area.
-  auto* begin =
-      const_cast<char*>(reinterpret_cast<const char*>(bytes.data()));
-  setg(begin, begin, begin + bytes.size());
-}
-
-ByteSourceStream::ByteSourceStream(const ByteSource& src)
-    : std::istream(nullptr), buf_(src.bytes()) {
-  rdbuf(&buf_);
-}
-
 }  // namespace wcp

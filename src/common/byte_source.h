@@ -22,10 +22,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <istream>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wcp {
@@ -108,21 +108,6 @@ class MappedFile final : public ByteSource {
 
   void* addr_ = nullptr;
   std::size_t len_ = 0;
-};
-
-/// Read-only std::istream over a ByteSource, so text parsers can consume an
-/// already-opened (possibly mapped) file without reopening or copying it.
-class ByteSourceStream final : public std::istream {
- public:
-  explicit ByteSourceStream(const ByteSource& src);
-
- private:
-  class Buf final : public std::streambuf {
-   public:
-    explicit Buf(std::span<const std::byte> bytes);
-  };
-
-  Buf buf_;
 };
 
 }  // namespace wcp

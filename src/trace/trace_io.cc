@@ -1,14 +1,19 @@
 #include "trace/trace_io.h"
 
+#include <charconv>
 #include <cstdint>
 #include <fstream>
-#include <limits>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
+#include "common/byte_source.h"
 #include "common/error.h"
+#include "trace/trace_store.h"
 
 namespace wcp {
 
@@ -98,16 +103,64 @@ std::string trace_to_string(const Computation& c) {
   return oss.str();
 }
 
-Computation read_trace(std::istream& is) {
-  std::string line;
+namespace {
+
+/// The six bytes `istream >>` skips in the classic locale.
+bool is_space(char ch) {
+  return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\v' || ch == '\f' ||
+         ch == '\r';
+}
+
+/// Whitespace-separated tokens of one line, split as `istream >>` splits.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+
+  /// The next token, or false at the end of the line.
+  bool next(std::string_view& tok) {
+    std::size_t i = 0;
+    while (i < rest_.size() && is_space(rest_[i])) ++i;
+    std::size_t j = i;
+    while (j < rest_.size() && !is_space(rest_[j])) ++j;
+    tok = rest_.substr(i, j - i);
+    rest_.remove_prefix(j);
+    return !tok.empty();
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// Parses a whole token as std::stoll accepts one: an optional '+'
+/// or '-', then decimal digits, within the int64 range.
+bool parse_int64(std::string_view tok, std::int64_t& v) {
+  const char* first = tok.data();
+  const char* const last = first + tok.size();
+  if (first != last && *first == '+') {
+    ++first;  // from_chars takes no '+', and no sign may follow one
+    if (first == last || *first < '0' || *first > '9') return false;
+  }
+  const auto [ptr, ec] = std::from_chars(first, last, v);
+  return ec == std::errc() && ptr == last;
+}
+
+}  // namespace
+
+Computation read_trace(std::string_view text) {
+  std::string_view line;
   std::size_t line_no = 0;
+  std::size_t at = 0;  // start of the next unread line
   auto next_line = [&]() -> bool {
-    while (std::getline(is, line)) {
+    while (at < text.size()) {
+      const std::size_t nl = text.find('\n', at);
+      const std::size_t end = nl == std::string_view::npos ? text.size() : nl;
+      line = text.substr(at, end - at);
+      at = end + 1;
       ++line_no;
-      const auto pos = line.find('#');
-      if (pos != std::string::npos) line.erase(pos);
+      line = line.substr(0, line.find('#'));
       // Skip blank lines.
-      if (line.find_first_not_of(" \t\r") != std::string::npos) return true;
+      if (line.find_first_not_of(" \t\r") != std::string_view::npos)
+        return true;
     }
     return false;
   };
@@ -117,31 +170,25 @@ Computation read_trace(std::istream& is) {
     WCP_REQUIRE(false, "trace parse error at line " << line_no << ": " << why
                                                     << " in '" << line << "'");
   };
-  auto parse_int = [&](std::istringstream& ls,
-                       const char* what) -> std::int64_t {
-    std::string tok;
-    if (!(ls >> tok)) fail(std::string("missing ") + what);
+  auto parse_int = [&](Tokens& ls, const char* what) -> std::int64_t {
+    std::string_view tok;
+    if (!ls.next(tok)) fail(std::string("missing ") + what);
     std::int64_t v = 0;
-    std::size_t used = 0;
-    try {
-      v = std::stoll(tok, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != tok.size())
-      fail(std::string("unparseable ") + what + " '" + tok + "'");
+    if (!parse_int64(tok, v))
+      fail(std::string("unparseable ") + what + " '" + std::string(tok) + "'");
     return v;
   };
-  auto expect_eol = [&](std::istringstream& ls) {
-    std::string extra;
-    if (ls >> extra) fail("unexpected trailing token '" + extra + "'");
+  auto expect_eol = [&](Tokens& ls) {
+    std::string_view extra;
+    if (ls.next(extra))
+      fail("unexpected trailing token '" + std::string(extra) + "'");
   };
 
   WCP_REQUIRE(next_line(), "trace parse error: empty input (missing header)");
   {
-    std::istringstream hdr(line);
-    std::string magic;
-    hdr >> magic;
+    Tokens hdr(line);
+    std::string_view magic;
+    hdr.next(magic);
     if (magic != "wcp-trace") fail("bad magic (expected 'wcp-trace')");
     if (parse_int(hdr, "format version") != 1) fail("unsupported version");
     expect_eol(hdr);
@@ -155,14 +202,14 @@ Computation read_trace(std::istream& is) {
   MessageId num_sent = 0;
   std::vector<bool> delivered;
 
-  auto parse_pid = [&](std::istringstream& ls, const char* what) -> int {
+  auto parse_pid = [&](Tokens& ls, const char* what) -> int {
     const std::int64_t p = parse_int(ls, what);
     if (p < 0 || static_cast<std::size_t>(p) >= N)
       fail(std::string(what) + " " + std::to_string(p) + " out of range [0, " +
            std::to_string(N) + ")");
     return static_cast<int>(p);
   };
-  auto parse_bit = [&](std::istringstream& ls, const char* what) -> bool {
+  auto parse_bit = [&](Tokens& ls, const char* what) -> bool {
     const std::int64_t v = parse_int(ls, what);
     if (v != 0 && v != 1)
       fail(std::string(what) + " " + std::to_string(v) + " not in {0, 1}");
@@ -170,13 +217,13 @@ Computation read_trace(std::istream& is) {
   };
 
   while (next_line()) {
-    std::istringstream ls(line);
-    std::string cmd;
-    ls >> cmd;
+    Tokens ls(line);
+    std::string_view cmd;
+    ls.next(cmd);
     if (cmd == "processes") {
       if (b) fail("duplicate 'processes' directive");
       const std::int64_t n = parse_int(ls, "process count");
-      if (n < 1 || n > std::numeric_limits<int>::max())
+      if (n < 1 || static_cast<std::uint64_t>(n) > kMaxProcesses)
         fail("process count " + std::to_string(n) + " out of range");
       expect_eol(ls);
       N = static_cast<std::size_t>(n);
@@ -186,9 +233,9 @@ Computation read_trace(std::istream& is) {
       if (saw_predicate) fail("duplicate 'predicate' directive");
       saw_predicate = true;
       std::vector<bool> seen(N, false);
-      std::string tok;
-      while (ls >> tok) {
-        std::istringstream one(tok);
+      std::string_view tok;
+      while (ls.next(tok)) {
+        Tokens one(tok);
         const int p = parse_pid(one, "predicate process");
         if (seen[static_cast<std::size_t>(p)])
           fail("duplicate predicate process " + std::to_string(p));
@@ -229,11 +276,12 @@ Computation read_trace(std::istream& is) {
       expect_eol(ls);
       b->mark_pred(ProcessId(p), v);
     } else if (cmd == "end") {
+      if (!b) fail("'end' before 'processes'");
       expect_eol(ls);
       saw_end = true;
       break;
     } else {
-      fail("unknown directive '" + cmd + "'");
+      fail("unknown directive '" + std::string(cmd) + "'");
     }
   }
   if (!saw_end) {
@@ -241,14 +289,18 @@ Computation read_trace(std::istream& is) {
                            << line_no << ": missing 'end' directive");
   }
   if (next_line()) fail("content after 'end'");
-  WCP_CHECK(b != nullptr);
   if (!preds.empty()) b->set_predicate_processes(std::move(preds));
   return b->build();
 }
 
+Computation read_trace(std::istream& is) {
+  const std::string text{std::istreambuf_iterator<char>(is),
+                         std::istreambuf_iterator<char>()};
+  return read_trace(std::string_view(text));
+}
+
 Computation trace_from_string(const std::string& text) {
-  std::istringstream iss(text);
-  return read_trace(iss);
+  return read_trace(std::string_view(text));
 }
 
 void save_trace_file(const std::string& path, const Computation& c) {
@@ -258,9 +310,10 @@ void save_trace_file(const std::string& path, const Computation& c) {
 }
 
 Computation load_trace_file(const std::string& path) {
-  std::ifstream f(path);
-  WCP_REQUIRE(f.good(), "cannot open '" << path << "' for reading");
-  return read_trace(f);
+  const auto src = ByteSource::map_file(path);
+  const auto bytes = src->bytes();
+  return read_trace(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
 }  // namespace wcp

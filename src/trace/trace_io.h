@@ -19,12 +19,22 @@
 // and message ids are range-checked, duplicate directives and double
 // deliveries are rejected, and any violation throws std::invalid_argument
 // reading "trace parse error at line <L>: <why> in '<line>'" — malformed
-// input never silently parses as zeros. See trace/trace_store.h for the
-// binary format and the sniffing load_any_trace_file.
+// input never silently parses as zeros. More than kMaxProcesses (4,096,
+// trace/trace_store.h) processes is a parse error too.
+//
+// The reader parses a byte span in place: read_trace(std::string_view)
+// splits lines on '\n', tokens on the six bytes `istream >>` skips (space,
+// \t, \n, \v, \f, \r) and converts numbers with std::from_chars, taking
+// what std::stoll accepts on a whole token (an optional '+' or '-',
+// decimal digits, int64 range). load_trace_file and load_any_trace_file
+// hand it the mapped file; the stream overload reads its input to the end
+// first. See trace/trace_store.h for the binary format and the sniffing
+// load_any_trace_file.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "trace/computation.h"
 
@@ -33,6 +43,7 @@ namespace wcp {
 void write_trace(std::ostream& os, const Computation& c);
 std::string trace_to_string(const Computation& c);
 
+Computation read_trace(std::string_view text);
 Computation read_trace(std::istream& is);
 Computation trace_from_string(const std::string& text);
 

@@ -65,11 +65,170 @@ std::uint64_t lookup_packed(const std::uint64_t* first, const std::uint64_t* las
   return *(it - 1) & 0xffff'ffffull;
 }
 
+template <class T>
+std::int64_t span_bytes(std::span<const T> s) {
+  return static_cast<std::int64_t>(s.size() * sizeof(T));
+}
+
+/// The clock change lists of one computation, derived by causal replay.
+struct ClockReplay {
+  std::vector<std::uint64_t> offsets;  // N*N + 1, the interval index
+  std::vector<std::uint64_t> entries;  // (k << 32) | value per change point
+  std::int64_t scratch_bytes = 0;      // replay working set, outputs excluded
+  bool deadlocked = false;             // some receive precedes its send
+};
+
+/// Replays the event columns in a greedy, causally valid global order and
+/// derives every change list, in two passes over the events: one counts,
+/// one writes. A process's clock row lives in `rows`. A send shares an
+/// in-flight snapshot of the sender's row with the sender's other sends
+/// since its last receive (they differ only in the sender's own component,
+/// which the message table holds), and the last receive of a snapshot's
+/// messages frees it, so no message clock outlives its receive.
+///
+/// Requires consistent columns: each message is sent once at state
+/// send_state of its sender, and received once, into recv_state != 0, iff
+/// delivered. The builder guarantees that, as does the tracebin loader's
+/// structural validation. Circular waits are reported, not assumed away.
+ClockReplay replay_clocks(std::size_t N, std::span<const std::uint32_t> events,
+                          std::span<const std::uint64_t> event_offsets,
+                          std::span<const std::uint32_t> messages) {
+  constexpr std::uint32_t kUnsent = 0xffff'ffff;  // send not replayed yet
+  constexpr std::uint32_t kNoSlot = 0xffff'fffe;  // no snapshot taken
+  const std::size_t num_msgs = messages.size() / 4;
+  std::vector<std::uint32_t> rows(N * N);  // rows[p*N+j]: component j of p
+  std::vector<std::uint32_t> slots;        // snapshots, N words each
+  std::vector<std::uint32_t> refs;         // messages in flight per slot
+  std::vector<std::uint32_t> free_slots;
+  std::vector<std::uint32_t> epoch_slot(N);  // p's snapshot of its row
+  std::vector<std::uint32_t> slot_of(num_msgs);
+  std::vector<std::uint64_t> next(N);
+  ClockReplay r;
+  r.offsets.assign(N * N + 1, 0);
+
+  // Replays every event once; `fold(p, row, snap, k)` merges a received
+  // snapshot into p's row as p enters state k.
+  const auto replay = [&](auto&& fold) {
+    std::fill(rows.begin(), rows.end(), 0);
+    std::fill(epoch_slot.begin(), epoch_slot.end(), kNoSlot);
+    std::fill(slot_of.begin(), slot_of.end(), kUnsent);
+    std::fill(next.begin(), next.end(), 0);
+    free_slots.clear();
+    std::uint32_t num_slots = 0;
+    std::size_t remaining = events.size();
+    while (remaining > 0) {
+      bool progressed = false;
+      for (std::size_t p = 0; p < N; ++p) {
+        const std::uint32_t* evs = events.data() + event_offsets[p];
+        const std::uint64_t count = event_offsets[p + 1] - event_offsets[p];
+        std::uint32_t* row = rows.data() + p * N;
+        std::uint64_t t = next[p];
+        for (; t < count; ++t) {
+          const std::uint32_t w = evs[t];
+          const std::size_t m = w & ~kReceiveBit;
+          if ((w & kReceiveBit) == 0) {
+            if (messages[m * 4 + 3] == 0) {  // never received: no snapshot
+              slot_of[m] = kNoSlot;
+              continue;
+            }
+            std::uint32_t& slot = epoch_slot[p];
+            if (slot == kNoSlot) {
+              if (free_slots.empty()) {
+                slot = num_slots++;
+                slots.resize(std::max(slots.size(), std::size_t{num_slots} * N));
+                refs.resize(std::max(refs.size(), std::size_t{num_slots}));
+              } else {
+                slot = free_slots.back();
+                free_slots.pop_back();
+              }
+              std::copy(row, row + N, slots.data() + std::size_t{slot} * N);
+            }
+            ++refs[slot];
+            slot_of[m] = slot;
+          } else {
+            const std::uint32_t slot = slot_of[m];
+            if (slot == kUnsent) break;  // wait for the sender's replay
+            WCP_CHECK(slot != kNoSlot);  // received, so it is delivered
+            std::uint32_t* snap = slots.data() + std::size_t{slot} * N;
+            const std::size_t from = messages[m * 4];
+            snap[from] = messages[m * 4 + 1];  // sent from this state
+            const std::uint64_t k = t + 2;
+            // The receiver's own component is k and no message can carry
+            // more, so folding it in never records a change point.
+            row[p] = static_cast<std::uint32_t>(k);
+            fold(p, row, snap, k);
+            epoch_slot[p] = kNoSlot;  // p's row moved on
+            // Whenever another process receives one of its messages, the
+            // sender is stopped at a receive (or done), so its epoch ends
+            // before it sends again: a freed slot is not still its own.
+            if (--refs[slot] == 0) free_slots.push_back(slot);
+          }
+        }
+        if (t != next[p]) {
+          remaining -= t - next[p];
+          next[p] = t;
+          progressed = true;
+        }
+      }
+      if (!progressed) return false;
+    }
+    return true;
+  };
+
+  // Pass 1 counts the change points of column (p, j) into offsets[p*N+j+1].
+  // The fold has no branch, so the compiler can vectorize it.
+  const auto count = [&](std::size_t p, std::uint32_t* row,
+                         const std::uint32_t* snap, std::uint64_t) {
+    std::uint64_t* counts = r.offsets.data() + p * N + 1;
+    for (std::size_t j = 0; j < N; ++j) {
+      counts[j] += snap[j] > row[j];
+      row[j] = std::max(row[j], snap[j]);
+    }
+  };
+  if (!replay(count)) {
+    r.deadlocked = true;
+    return r;
+  }
+  for (std::size_t i = 0; i < N * N; ++i) r.offsets[i + 1] += r.offsets[i];
+  r.entries.resize(r.offsets[N * N]);
+
+  // Pass 2 writes each change point at its column's cursor, offsets[p*N+j],
+  // which leaves every cursor at its column's end; shifting the offsets by
+  // one then restores the interval index. The fold first gathers the raised
+  // components without a branch, then writes only those.
+  std::vector<std::uint32_t> raised(N);
+  const auto write = [&](std::size_t p, std::uint32_t* row,
+                         const std::uint32_t* snap, std::uint64_t k) {
+    std::uint64_t* cursors = r.offsets.data() + p * N;
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < N; ++j) {
+      raised[n] = static_cast<std::uint32_t>(j);
+      n += snap[j] > row[j];
+      row[j] = std::max(row[j], snap[j]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t j = raised[i];
+      r.entries[cursors[j]++] = (k << 32) | row[j];
+    }
+  };
+  replay(write);
+  std::copy_backward(r.offsets.begin(), r.offsets.end() - 1, r.offsets.end());
+  r.offsets[0] = 0;
+
+  r.scratch_bytes = static_cast<std::int64_t>(
+      sizeof(std::uint32_t) *
+          (rows.capacity() + slots.capacity() + refs.capacity() +
+           free_slots.capacity() + epoch_slot.capacity() +
+           slot_of.capacity() + raised.capacity()) +
+      sizeof(std::uint64_t) * next.capacity());
+  return r;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Assembly: adopt the builder's columns, then one greedy causal replay that
-// records only clock change points.
+// Assembly: adopt the builder's columns, then derive the clock change lists
+// by one two-pass causal replay.
 
 TraceStore TraceStore::assemble(
     std::vector<std::uint64_t> state_counts,
@@ -78,6 +237,10 @@ TraceStore TraceStore::assemble(
     const std::vector<std::vector<std::uint64_t>>& pred_bits,
     std::vector<std::uint32_t> messages) {
   const std::size_t N = state_counts.size();
+  WCP_REQUIRE(N <= kMaxProcesses,
+              "computation has " << N << " processes, beyond the trace "
+                                     "store's cap of "
+                                 << kMaxProcesses);
   TraceStore s;
   s.event_offsets_.assign(N + 1, 0);
   s.pred_word_offsets_.assign(N + 1, 0);
@@ -108,84 +271,16 @@ TraceStore TraceStore::assemble(
     s.pred_bits_own_.insert(s.pred_bits_own_.end(), col.begin(), col.end());
   s.bind_owned();
 
-  // Clock change lists. Replay events in a causally valid global order (the
-  // builder appended every receive after its send), but never materialize a
-  // message clock: when P_p receives a message sent from (from, send_state),
-  // each component j of the sender's clock is read back out of the sender's
-  // own (already final up to send_state) change list.
-  std::vector<std::vector<std::uint64_t>> cols(N * N);
-  std::vector<std::uint64_t> cur(N * N, 0);  // cur[p*N+j], j != p; own implicit
-  std::vector<std::size_t> next(N, 0);
-  std::vector<char> sent(num_msgs, 0);
-
-  std::size_t remaining = s.events_.size();
-  while (remaining > 0) {
-    bool progressed = false;
-    for (std::size_t p = 0; p < N; ++p) {
-      const std::uint32_t* evs = s.events_.data() + s.event_offsets_[p];
-      const std::size_t count = s.event_offsets_[p + 1] - s.event_offsets_[p];
-      while (next[p] < count) {
-        const std::uint32_t w = evs[next[p]];
-        const std::size_t mi = w & ~kReceiveBit;
-        if ((w & kReceiveBit) == 0) {
-          sent[mi] = 1;
-        } else {
-          if (!sent[mi]) break;  // wait for the sender's replay
-          const std::size_t from = s.messages_[mi * 4];
-          const std::uint64_t bound = s.messages_[mi * 4 + 1];
-          const auto k = static_cast<std::uint64_t>(next[p]) + 2;
-          for (std::size_t j = 0; j < N; ++j) {
-            if (j == p) continue;  // own component is k by construction
-            std::uint64_t v;
-            if (j == from) {
-              v = bound;
-            } else {
-              const auto& col = cols[from * N + j];
-              v = lookup_packed(col.data(), col.data() + col.size(), bound);
-            }
-            if (v > cur[p * N + j]) {
-              cur[p * N + j] = v;
-              cols[p * N + j].push_back((k << 32) | v);
-            }
-          }
-        }
-        ++next[p];
-        --remaining;
-        progressed = true;
-      }
-    }
-    WCP_CHECK_MSG(progressed || remaining == 0,
-                  "computation event order is causally inconsistent");
-  }
-
-  // Flatten into the interval index. The replay scratch still exists here,
-  // so this is the build's memory high-water point.
-  std::int64_t scratch = static_cast<std::int64_t>(
-      cur.size() * sizeof(std::uint64_t) + next.size() * sizeof(std::size_t) +
-      sent.size());
-  for (const auto& col : cols)
-    scratch += static_cast<std::int64_t>(sizeof(col) +
-                                         col.capacity() * sizeof(std::uint64_t));
-
-  auto& clock_offsets = s.clock_offsets_own_;
-  auto& clock_entries = s.clock_entries_own_;
-  clock_offsets.assign(N * N + 1, 0);
-  std::size_t total_entries = 0;
-  for (std::size_t i = 0; i < N * N; ++i) {
-    total_entries += cols[i].size();
-    clock_offsets[i + 1] = total_entries;
-  }
-  clock_entries.reserve(total_entries);
-  for (const auto& col : cols)
-    clock_entries.insert(clock_entries.end(), col.begin(), col.end());
-
+  // The builder appended every receive after its send, so the replay cannot
+  // deadlock.
+  ClockReplay r = replay_clocks(N, s.events_, s.event_offsets_, s.messages_);
+  WCP_CHECK_MSG(!r.deadlocked,
+                "computation event order is causally inconsistent");
+  s.clock_offsets_own_ = std::move(r.offsets);
+  s.clock_entries_own_ = std::move(r.entries);
   s.bind_owned();
-  s.stats_.clocks_interned = s.total_states();
-  s.stats_.delta_entries = static_cast<std::int64_t>(clock_entries.size());
-  s.stats_.peak_bytes = s.resident_bytes() + scratch;
-  s.stats_.delta_ratio =
-      static_cast<double>(static_cast<std::int64_t>(N) * s.total_states()) /
-      static_cast<double>(std::max<std::int64_t>(1, s.stats_.delta_entries));
+  s.set_clock_stats();
+  s.stats_.peak_bytes = s.column_bytes() + r.scratch_bytes;
   return s;
 }
 
@@ -197,6 +292,15 @@ void TraceStore::bind_owned() {
   messages_ = messages_own_;
   clock_offsets_ = clock_offsets_own_;
   clock_entries_ = clock_entries_own_;
+}
+
+std::int64_t TraceStore::column_bytes() const {
+  return static_cast<std::int64_t>(sizeof(*this)) +
+         span_bytes<std::uint64_t>(event_offsets_) +
+         span_bytes<std::uint64_t>(pred_word_offsets_) +
+         span_bytes(state_counts_) + span_bytes(pred_procs_) +
+         span_bytes(events_) + span_bytes(pred_bits_) + span_bytes(messages_) +
+         span_bytes(clock_offsets_) + span_bytes(clock_entries_);
 }
 
 std::int64_t TraceStore::resident_bytes() const {
@@ -211,6 +315,15 @@ std::int64_t TraceStore::resident_bytes() const {
          vec_bytes(pred_procs_own_) + vec_bytes(events_own_) +
          vec_bytes(pred_bits_own_) + vec_bytes(messages_own_) +
          vec_bytes(clock_offsets_own_) + vec_bytes(clock_entries_own_);
+}
+
+void TraceStore::set_clock_stats() {
+  stats_.clocks_interned = total_states();
+  stats_.delta_entries = static_cast<std::int64_t>(clock_entries_.size());
+  stats_.delta_ratio =
+      static_cast<double>(static_cast<std::int64_t>(num_processes()) *
+                          total_states()) /
+      static_cast<double>(std::max<std::int64_t>(1, stats_.delta_entries));
 }
 
 std::int64_t TraceStore::total_states() const {
@@ -366,7 +479,7 @@ TraceStore TraceStore::from_source(std::shared_ptr<const ByteSource> src,
   WCP_REQUIRE(file_size == buf.size(),
               "wcp-tracebin parse error: header file size "
                   << file_size << " != actual stream size " << buf.size());
-  WCP_REQUIRE(N >= 1 && N <= 0x7fffffffull,
+  WCP_REQUIRE(N >= 1 && N <= kMaxProcesses,
               "wcp-tracebin parse error: bad process count " << N);
   WCP_REQUIRE(num_msgs < kMessageCap,
               "wcp-tracebin parse error: message count " << num_msgs
@@ -618,28 +731,25 @@ TraceStore TraceStore::from_source(std::shared_ptr<const ByteSource> src,
     }
   }
 
-  s.stats_.clocks_interned = s.total_states();
-  s.stats_.delta_entries = static_cast<std::int64_t>(s.clock_entries_.size());
-  s.stats_.delta_ratio =
-      static_cast<double>(static_cast<std::int64_t>(N) * s.total_states()) /
-      static_cast<double>(std::max<std::int64_t>(1, s.stats_.delta_entries));
-
+  s.set_clock_stats();
   if (opts.verify_replay) {
-    // Semantic verification: replay the event columns into a Computation and
-    // rebuild the clock deltas from scratch. The change lists are a
-    // canonical function of the causal structure (independent of message
-    // numbering), so any disagreement means the stored clock section lies
-    // about the events. Report the rebuild's peak (build scratch included)
-    // so a verified binary load and a from-scratch build of the same
-    // computation expose identical storage counters.
-    const Computation replayed = s.to_computation();
-    const TraceStore& rebuilt = replayed.trace_store();
-    WCP_REQUIRE(
-        std::ranges::equal(rebuilt.clock_offsets_, s.clock_offsets_) &&
-            std::ranges::equal(rebuilt.clock_entries_, s.clock_entries_),
-        "wcp-tracebin parse error: clock section is inconsistent with "
-        "the event structure");
-    s.stats_.peak_bytes = rebuilt.stats_.peak_bytes;
+    // Semantic verification: replay the mapped event columns and derive the
+    // clock deltas from scratch. The change lists are a canonical function
+    // of the causal structure (independent of message numbering), so any
+    // disagreement means the stored clock section lies about the events.
+    // The reported peak is what a from-scratch build of this computation
+    // reports (its columns owned, plus the replay scratch), so a verified
+    // binary load and a text build expose identical storage counters.
+    const ClockReplay r =
+        replay_clocks(N, s.events_, s.event_offsets_, s.messages_);
+    WCP_REQUIRE(!r.deadlocked,
+                "wcp-tracebin parse error: event columns deadlock under "
+                "causal replay (a receive precedes its send)");
+    WCP_REQUIRE(std::ranges::equal(r.offsets, s.clock_offsets_) &&
+                    std::ranges::equal(r.entries, s.clock_entries_),
+                "wcp-tracebin parse error: clock section is inconsistent with "
+                "the event structure");
+    s.stats_.peak_bytes = s.column_bytes() + r.scratch_bytes;
   } else {
     s.stats_.peak_bytes = s.resident_bytes();
   }
@@ -729,8 +839,7 @@ Computation load_tracebin_file(const std::string& path,
 Computation load_any_trace_file(const std::string& path,
                                 const TraceLoadOptions& opts) {
   // One open, one inspection: sniff the magic straight from the (usually
-  // mapped) bytes; the binary path parses them in place and the text path
-  // streams them through a zero-copy streambuf.
+  // mapped) bytes; both paths parse them in place.
   const auto src = ByteSource::map_file(path);
   const auto bytes = src->bytes();
   const bool binary =
@@ -741,8 +850,8 @@ Computation load_any_trace_file(const std::string& path,
     return Computation::from_store(std::make_shared<const TraceStore>(
         TraceStore::from_source(src, opts)));
   }
-  ByteSourceStream s(*src);
-  return read_trace(s);
+  return read_trace(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
 }  // namespace wcp

@@ -59,6 +59,11 @@
 
 namespace wcp {
 
+/// Most processes a store holds. Its clock interval index has N*N + 1
+/// offsets, so 4,096 processes already take 128 MiB of index; the text
+/// reader and the tracebin loader reject larger counts as parse errors.
+inline constexpr std::size_t kMaxProcesses = 4096;
+
 /// Knobs for the wcp-tracebin loaders. Structural validation is not a knob:
 /// it always runs, because it is what makes the mapped accessors memory-safe.
 struct TraceLoadOptions {
@@ -157,9 +162,8 @@ class TraceStore {
                                 const TraceLoadOptions& opts = {});
 
   /// Rebuilds the computation by causal replay of the columns through a
-  /// ComputationBuilder, which renumbers messages in replay order and
-  /// derives a fresh clock section. The tracebin loader's replay check
-  /// compares that section against the stored one.
+  /// ComputationBuilder, which renumbers messages in replay order (the
+  /// numbering the text format writes).
   [[nodiscard]] Computation to_computation() const;
 
  private:
@@ -167,7 +171,9 @@ class TraceStore {
 
   /// Adopts a builder's staged columns (per-process event words and
   /// predicate words are concatenated, the rest is moved in) and derives
-  /// the clock deltas by one causal replay.
+  /// the clock deltas by the two-pass causal replay the tracebin verifier
+  /// shares: one N-word clock row per process, one snapshot per message in
+  /// flight, change points counted first and then written in place.
   static TraceStore assemble(
       std::vector<std::uint64_t> state_counts,
       std::vector<std::uint32_t> pred_procs,
@@ -186,7 +192,13 @@ class TraceStore {
   /// big-endian decode fallback).
   void bind_owned();
 
+  /// Heap bytes the store owns (columns aliasing `backing_` excluded).
   [[nodiscard]] std::int64_t resident_bytes() const;
+  /// Bytes the store would own with every column on the heap: the resident
+  /// size of a from-scratch build.
+  [[nodiscard]] std::int64_t column_bytes() const;
+  /// Fills clocks_interned, delta_entries and delta_ratio from the columns.
+  void set_clock_stats();
 
   // Column views: each aliases either its *_own_ vector below or `backing_`.
   // All indices into them are derived from state_counts_, so the layout has

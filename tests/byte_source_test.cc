@@ -1,6 +1,6 @@
 // ByteSource: mmap-backed and owned byte buffers behind the zero-copy
 // trace loader — mapping real files, falling back for non-regular ones,
-// alignment guarantees, and the read-only stream adapter.
+// and alignment guarantees.
 #include "common/byte_source.h"
 
 #include <gtest/gtest.h>
@@ -111,33 +111,6 @@ TEST(ByteSource, FromBytesCopiesIntoAlignedStorage) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(src->bytes().data()) % 8, 0u);
   EXPECT_EQ(as_string(*src), data);
   EXPECT_EQ(ByteSource::from_bytes("")->size(), 0u);
-}
-
-TEST(ByteSource, StreamAdapterReadsWithoutCopying) {
-  const auto src = ByteSource::from_bytes("line one\nline two\nrest");
-  ByteSourceStream s(*src);
-  std::string line;
-  ASSERT_TRUE(std::getline(s, line));
-  EXPECT_EQ(line, "line one");
-  ASSERT_TRUE(std::getline(s, line));
-  EXPECT_EQ(line, "line two");
-  ASSERT_TRUE(std::getline(s, line));
-  EXPECT_EQ(line, "rest");
-  EXPECT_FALSE(std::getline(s, line));
-  EXPECT_TRUE(s.eof());
-}
-
-TEST(ByteSource, StreamAdapterOverMappedFile) {
-  const std::string path = temp_path("byte_source_stream.txt");
-  write_file(path, "alpha\nbeta\n");
-  const auto src = ByteSource::map_file(path);
-  ByteSourceStream s(*src);
-  std::string a, b;
-  ASSERT_TRUE(std::getline(s, a));
-  ASSERT_TRUE(std::getline(s, b));
-  EXPECT_EQ(a, "alpha");
-  EXPECT_EQ(b, "beta");
-  std::remove(path.c_str());
 }
 
 }  // namespace

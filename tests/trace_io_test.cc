@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
+#include "trace/trace_store.h"
 #include "workload/random_workload.h"
 
 namespace wcp {
@@ -180,6 +182,39 @@ TEST(TraceIo, RejectsMalformedStructure) {
       trace_from_string(
           "wcp-trace 1\nprocesses 2\npredicate 0\npredicate 1\nend\n"),
       std::invalid_argument);
+}
+
+TEST(TraceIo, RejectsProcessCountsBeyondTheStoreCap) {
+  // The store's interval index has N*N + 1 offsets: a 33-byte trace must
+  // not be able to ask for gigabytes of it. Both formats fail closed.
+  const std::string too_many = std::to_string(kMaxProcesses + 1);
+  try {
+    (void)trace_from_string("wcp-trace 1\nprocesses " + too_many + "\nend\n");
+    FAIL() << "expected parse error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "trace parse error at line 2: process count " + too_many +
+                  " out of range in 'processes " + too_many + "'"),
+              std::string::npos)
+        << e.what();
+  }
+
+  std::ostringstream os;
+  save_tracebin(os, trace_from_string("wcp-trace 1\nprocesses 2\nend\n"));
+  std::string bytes = os.str();
+  for (int i = 0; i < 8; ++i)  // header field N, little-endian
+    bytes[16 + static_cast<std::size_t>(i)] =
+        static_cast<char>(((kMaxProcesses + 1) >> (8 * i)) & 0xff);
+  std::istringstream is(bytes);
+  try {
+    (void)load_tracebin(is);
+    FAIL() << "expected parse error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "wcp-tracebin parse error: bad process count " + too_many),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceIo, FileRoundTrip) {

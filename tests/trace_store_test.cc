@@ -18,6 +18,7 @@
 #include "detect/lattice.h"
 #include "detect/offline.h"
 #include "trace/trace_io.h"
+#include "workload/mutex_workload.h"
 #include "workload/random_workload.h"
 
 namespace wcp {
@@ -81,9 +82,57 @@ Computation random_comp(std::uint64_t seed, std::size_t N = 6,
   return workload::make_random(spec);
 }
 
+// The replay shared by the builder and the tracebin verifier, against the
+// eager oracle on every state: random computations from 2 to 64 processes
+// (in-flight messages included), the E14 mutex worst case at N = 129, and a
+// hand-built run with non-FIFO receives and messages never received. On
+// each, the text-built store, the verified tracebin load and the original
+// report the same storage counters.
 TEST(TraceStore, ClocksMatchEagerReplayOracle) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const auto c = random_comp(seed, 5, 3, seed % 2 ? 1.0 : 0.6);
+  std::vector<std::pair<std::string, Computation>> comps;
+  std::uint64_t seed = 40;
+  for (const std::size_t N : {2, 3, 5, 8, 13, 21, 34, 64}) {
+    for (const double drain : {0.5, 1.0}) {
+      workload::RandomSpec spec;
+      spec.num_processes = N;
+      spec.num_predicate = std::max<std::size_t>(1, N / 2);
+      spec.events_per_process = N >= 34 ? 12 : 24;
+      spec.drain_prob = drain;
+      spec.seed = seed++;
+      comps.emplace_back("random N=" + std::to_string(N) +
+                             " drain=" + std::to_string(drain),
+                         workload::make_random(spec));
+    }
+  }
+  {
+    workload::MutexSpec spec;  // bench_offline's largest E14 computation
+    spec.num_clients = 128;
+    spec.rounds_per_client = 20;
+    spec.force_final_violation = true;
+    spec.seed = 3;
+    comps.emplace_back("E14 mutex N=129",
+                       workload::make_mutex(spec).computation);
+  }
+  {
+    ComputationBuilder b(4);
+    const ProcessId p0(0), p1(1), p2(2), p3(3);
+    const MessageId a = b.send(p0, p1);
+    const MessageId c = b.send(p0, p1);
+    const MessageId d = b.send(p2, p1);
+    b.receive(d);  // overtakes both of p0's messages
+    b.receive(c);  // overtakes a on the same channel
+    (void)b.send(p1, p3);  // never received
+    const MessageId e = b.send(p1, p2);
+    b.receive(a);
+    b.receive(e);
+    (void)b.send(p3, p0);  // never received
+    const MessageId f = b.send(p2, p3);
+    b.receive(f);
+    comps.emplace_back("non-FIFO with messages in flight", b.build());
+  }
+
+  for (const auto& [name, c] : comps) {
+    SCOPED_TRACE(name);
     const auto oracle = eager_clocks(c);
     const TraceStore& s = c.trace_store();
     for (std::size_t p = 0; p < c.num_processes(); ++p) {
@@ -91,13 +140,74 @@ TEST(TraceStore, ClocksMatchEagerReplayOracle) {
       ASSERT_EQ(s.num_states(pid), c.num_states(pid));
       for (StateIndex k = 1; k <= c.num_states(pid); ++k) {
         const VectorClock& want = oracle[p][static_cast<std::size_t>(k - 1)];
-        EXPECT_EQ(s.clock(pid, k), want) << "p=" << p << " k=" << k;
-        EXPECT_EQ(c.ground_truth_clock(pid, k), want);
+        ASSERT_EQ(s.clock(pid, k), want) << "p=" << p << " k=" << k;
+        ASSERT_EQ(c.ground_truth_clock(pid, k), want);
         for (std::size_t j = 0; j < c.num_processes(); ++j)
-          EXPECT_EQ(s.clock_component(pid, k, ProcessId(static_cast<int>(j))),
+          ASSERT_EQ(s.clock_component(pid, k, ProcessId(static_cast<int>(j))),
                     want[j]);
       }
     }
+
+    const auto from_text = trace_from_string(trace_to_string(c));
+    std::ostringstream os;
+    save_tracebin(os, from_text);
+    std::istringstream is(os.str());
+    const auto verified = load_tracebin(is);
+    const TraceStoreStats want = c.trace_store_stats();
+    for (const Computation* copy : {&from_text, &verified}) {
+      const TraceStoreStats got = copy->trace_store_stats();
+      EXPECT_EQ(got.peak_bytes, want.peak_bytes);
+      EXPECT_EQ(got.delta_entries, want.delta_entries);
+      EXPECT_EQ(got.clocks_interned, want.clocks_interned);
+    }
+  }
+}
+
+TEST(TraceStore, VerifierRejectsAReceiveBeforeItsSend) {
+  // Two processes that each receive the other's message before sending
+  // their own: every structural check passes, but no causal order exists.
+  ComputationBuilder b(2);
+  const MessageId m0 = b.send(ProcessId(0), ProcessId(1));
+  const MessageId m1 = b.send(ProcessId(1), ProcessId(0));
+  b.receive(m1);
+  b.receive(m0);
+  std::ostringstream os;
+  save_tracebin(os, b.build());
+  std::string bytes = os.str();
+
+  const auto rd_u64 = [&](std::size_t off) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[off + i]))
+           << (8 * i);
+    return v;
+  };
+  const auto wr_u32 = [&](std::size_t off, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i)
+      bytes[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  };
+  const auto off_events = static_cast<std::size_t>(rd_u64(88));
+  const auto off_messages = static_cast<std::size_t>(rd_u64(104));
+  // Events: p0 receives m1 then sends m0; p1 receives m0 then sends m1.
+  wr_u32(off_events + 0, kPackedEventReceiveBit | 1);
+  wr_u32(off_events + 4, 0);
+  wr_u32(off_events + 8, kPackedEventReceiveBit | 0);
+  wr_u32(off_events + 12, 1);
+  // Messages {from, send_state, to, recv_state}: both sent from state 2
+  // into the receiver's state 2.
+  const std::uint32_t quads[8] = {0, 2, 1, 2, 1, 2, 0, 2};
+  for (std::size_t i = 0; i < 8; ++i) wr_u32(off_messages + 4 * i, quads[i]);
+
+  std::istringstream is(bytes);
+  try {
+    (void)TraceStore::load(is);
+    FAIL() << "expected the deadlock parse error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "wcp-tracebin parse error: event columns deadlock under "
+                  "causal replay (a receive precedes its send)"),
+              std::string::npos)
+        << e.what();
   }
 }
 
