@@ -1,5 +1,6 @@
 #include "serve/client.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -68,11 +69,18 @@ bool StreamClient::pump(bool block) {
   // pumps once per readable wakeup would never be woken to send them.
   for (bool moved = true; moved;) {
     moved = false;
-    while (!outbox_.empty() && unacked_.size() < opts_.window) {
-      const std::uint64_t seq = acked_ + unacked_.size();
-      transport_.send(outbox_.front());
-      unacked_.emplace_back(seq, std::move(outbox_.front()));
-      outbox_.pop_front();
+    // The whole window leaves as one batch (one socket write over TCP).
+    const std::size_t room =
+        std::min(outbox_.size(), opts_.window - unacked_.size());
+    if (room > 0) {
+      batch_.assign(outbox_.begin(),
+                    outbox_.begin() + static_cast<std::ptrdiff_t>(room));
+      transport_.send_batch(batch_);
+      for (std::size_t i = 0; i < room; ++i) {
+        const std::uint64_t seq = acked_ + unacked_.size();
+        unacked_.emplace_back(seq, std::move(outbox_.front()));
+        outbox_.pop_front();
+      }
       moved = true;
     }
     while (std::optional<std::vector<std::uint8_t>> raw =
@@ -94,10 +102,9 @@ bool StreamClient::pump(bool block) {
 
 void StreamClient::retransmit() {
   if (unacked_.empty()) return;
-  for (const auto& [seq, bytes] : unacked_) {
-    (void)seq;
-    transport_.send(bytes);
-  }
+  batch_.clear();
+  for (const auto& [seq, bytes] : unacked_) batch_.emplace_back(bytes);
+  transport_.send_batch(batch_);
   ++retransmits_;
 }
 

@@ -1,14 +1,17 @@
 // Client side of a `wcp-stream 1` connection.
 //
 // The client enqueues logical frames (hello/subscribe/snapshot/eos/finish),
-// stamps sequence numbers, and pump() moves the stream forward: it sends
-// while the unacked window has room and drains incoming server frames
-// (acks advance the window and release the retransmission buffer; verdicts
-// and stats are collected; an ERROR frame raises std::runtime_error with
-// the server's message).
+// stamps sequence numbers, and pump() moves the stream forward: each round
+// hands every frame the unacked window has room for to the transport as
+// one batch (Transport::send_batch — one socket write over TCP, one send()
+// per frame on the pipe) and drains incoming server frames (acks advance
+// the window and release the retransmission buffer; verdicts and stats are
+// collected; an ERROR frame raises std::runtime_error with the server's
+// message).
 //
 // Loss recovery mirrors sim/reliable.h at the frame level: everything sent
-// but not cumulatively acked is retained, and retransmit() resends it all.
+// but not cumulatively acked is retained, and retransmit() resends it all
+// as one batch.
 // The driver calls retransmit() whenever a full pump round makes no
 // progress — on a faulty pipe that means frames were dropped; the server's
 // resequencer makes redelivery idempotent.
@@ -17,6 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "serve/protocol.h"
@@ -75,6 +79,8 @@ class StreamClient {
   std::deque<std::vector<std::uint8_t>> outbox_;  // not yet sent
   /// (seq, frame) in flight, ordered by seq.
   std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> unacked_;
+  /// Views of the frames one send_batch() call carries (reused).
+  std::vector<std::span<const std::uint8_t>> batch_;
   std::vector<VerdictBody> verdicts_;
   ServeStats server_stats_;
   bool done_ = false;

@@ -55,8 +55,11 @@ ReplayResult replay_stream(const Computation& comp,
   // Event loop: alternate client pump with server frame processing until
   // the stats frame lands. A stalled round means the pipe dropped frames;
   // the client retransmits its unacked window. The stall bound guards
-  // against a wedged protocol (it cannot fire on a fault-free pipe).
+  // against a wedged protocol (it cannot fire on a fault-free pipe): it
+  // counts retransmissions since the session last applied a frame, since
+  // a wedged session still receives every resent duplicate.
   std::int64_t stalls = 0;
+  std::int64_t applied = 0;
   while (!client.done()) {
     bool progressed = client.pump();
     while (std::optional<std::vector<std::uint8_t>> raw =
@@ -65,10 +68,11 @@ ReplayResult replay_stream(const Computation& comp,
       progressed = true;
     }
     session.end_batch();  // one cumulative ACK for the round's frames
-    if (progressed) {
+    if (session.stats().frames_in > applied) {
+      applied = session.stats().frames_in;
       stalls = 0;
-      continue;
     }
+    if (progressed) continue;
     client.retransmit();
     WCP_CHECK_MSG(++stalls < 10'000,
                   "replay stalled: transport deadlock after "

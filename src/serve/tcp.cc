@@ -42,14 +42,18 @@ void TcpTransport::set_nonblocking() {
 }
 
 void TcpTransport::send(std::vector<std::uint8_t> frame) {
+  const std::span<const std::uint8_t> one(frame);
+  send_batch({&one, 1});
+}
+
+void TcpTransport::send_batch(
+    std::span<const std::span<const std::uint8_t>> frames) {
   if (fd_ < 0 || peer_closed_)
     throw std::runtime_error("tcp send: connection is closed");
-  if (pending_out() == 0) {
-    out_ = std::move(frame);
-    out_off_ = 0;
-  } else {
-    out_.insert(out_.end(), frame.begin(), frame.end());
-  }
+  // flush() empties out_ whenever it drains it, so appending is all a
+  // frame needs.
+  for (const std::span<const std::uint8_t> f : frames)
+    out_.insert(out_.end(), f.begin(), f.end());
   if (!nonblocking_) flush();
 }
 

@@ -5,10 +5,13 @@
 // only appends the frame to an internal write buffer, and the owner
 // flushes: the event loop calls flush() once per wakeup, so every frame a
 // wakeup produced leaves in one send(2), and whatever the kernel does not
-// take stays buffered for the next flush. A socket error on the send path
-// is surfaced as std::runtime_error — a frame is delivered whole or the
-// caller learns why it was not; it is never silently truncated, which
-// would desync the peer's frame assembler. receive()
+// take stays buffered for the next flush. send_batch() appends a whole
+// batch of frames to the same buffer and, on a blocking socket, flushes
+// once, so a client's pump round leaves in one send(2) rather than one
+// per frame. A socket error on the send path is surfaced as
+// std::runtime_error — a frame (or every frame of a batch) is delivered
+// whole or the caller learns why it was not; it is never silently
+// truncated, which would desync the peer's frame assembler. receive()
 // reassembles frames from the byte stream with a FrameAssembler (TCP has
 // no message boundaries).
 //
@@ -48,6 +51,13 @@ class TcpTransport final : public Transport {
   /// whose peer is already gone); no partial frame is ever dropped
   /// silently.
   void send(std::vector<std::uint8_t> frame) override;
+  /// send() for a batch: every frame is appended to the write buffer in
+  /// order, and a blocking socket then flushes once. The same contract
+  /// holds for the batch as a whole: on return every frame was written
+  /// whole (blocking) or buffered (nonblocking); otherwise it throws
+  /// std::runtime_error and keeps nothing (pending_out() == 0).
+  void send_batch(
+      std::span<const std::span<const std::uint8_t>> frames) override;
   std::optional<std::vector<std::uint8_t>> receive(bool block) override;
   [[nodiscard]] bool closed() const override;
   void close() override;

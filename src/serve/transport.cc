@@ -7,6 +7,12 @@
 
 namespace wcp::serve {
 
+void Transport::send_batch(
+    std::span<const std::span<const std::uint8_t>> frames) {
+  for (const std::span<const std::uint8_t> f : frames)
+    send(std::vector<std::uint8_t>(f.begin(), f.end()));
+}
+
 namespace internal {
 
 struct PipeShared {

@@ -14,6 +14,13 @@
 //
 //   - TcpTransport (serve/tcp.h): a socket for the real daemon.
 //
+// Frames go out one at a time (send) or as one ordered batch
+// (send_batch): StreamClient hands each pump round's send window, and
+// each retransmission, to send_batch. The base class spells a batch out
+// as one send() per frame, which is what the pipe uses, so its
+// per-frame fault injection samples every frame of a batch on its own;
+// TcpTransport overrides it so a batch leaves in one socket write.
+//
 // Thread safety: a PipePair may be driven from two threads (one per end);
 // every queue operation locks the pair's mutex.
 #pragma once
@@ -37,6 +44,10 @@ class Transport {
 
   /// Queues one raw frame for the peer.
   virtual void send(std::vector<std::uint8_t> frame) = 0;
+  /// Queues raw frames for the peer, in order, as one batch. The default
+  /// calls send() once per frame.
+  virtual void send_batch(
+      std::span<const std::span<const std::uint8_t>> frames);
   /// Next raw frame from the peer, or nullopt if none is pending (never
   /// blocks on the pipe backend; the TCP backend blocks only if `block`).
   virtual std::optional<std::vector<std::uint8_t>> receive(bool block) = 0;

@@ -185,6 +185,53 @@ TEST(ServeTcp, QueuedFramesStayInOrderAcrossBackpressure) {
   EXPECT_EQ(got[1], f2);
 }
 
+/// send_batch() views of `frames`.
+std::vector<std::span<const std::uint8_t>> views(
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  return {frames.begin(), frames.end()};
+}
+
+TEST(ServeTcp, BlockingBatchDeliversEveryFrameWholeAndInOrder) {
+  auto [a_fd, b_fd] = make_socketpair(/*sndbuf=*/4096);
+  TcpTransport a(a_fd);
+  TcpTransport b(b_fd);
+
+  // A client window's worth of small frames with big ones among them, so
+  // the one flush has to push far more than the kernel buffer holds.
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint64_t seq = 0; seq < 64; ++seq) {
+    frames.push_back(seq % 16 == 5 ? big_frame(50'000, seq)
+                                   : encode_frame(make_snapshot(
+                                                      0, seq, {1, 2, 3}),
+                                                  seq));
+  }
+  std::thread writer([&] { a.send_batch(views(frames)); });
+  std::vector<std::vector<std::uint8_t>> got;
+  while (got.size() < frames.size()) {
+    std::optional<std::vector<std::uint8_t>> f = b.receive(/*block=*/true);
+    if (!f) break;
+    got.push_back(std::move(*f));
+  }
+  writer.join();
+
+  EXPECT_EQ(got, frames);  // every frame whole, in order
+  EXPECT_EQ(a.pending_out(), 0u);
+}
+
+TEST(ServeTcp, BatchToClosedPeerThrowsAndKeepsNothing) {
+  auto [a_fd, b_fd] = make_socketpair();
+  TcpTransport a(a_fd);
+  ::close(b_fd);
+
+  const std::vector<std::vector<std::uint8_t>> frames = {
+      encode_frame(make_finish(), 0), encode_frame(make_finish(), 1)};
+  EXPECT_THROW(a.send_batch(views(frames)), std::runtime_error);
+  EXPECT_TRUE(a.closed());
+  EXPECT_EQ(a.pending_out(), 0u);  // no frame of the batch is kept
+  EXPECT_THROW(a.send_batch(views(frames)), std::runtime_error);
+  EXPECT_EQ(a.pending_out(), 0u);
+}
+
 TEST(ServeTcp, TryAcceptReturnsNullWhenNothingPending) {
   std::unique_ptr<TcpListener> listener;
   try {
