@@ -6,9 +6,9 @@
 
 #include "app/snapshot.h"
 #include "app/snapshot_stream.h"
-#include "common/cut_hash.h"
-#include "common/cut_storage.h"
 #include "common/error.h"
+#include "detect/cut_walk.h"
+#include "detect/lattice.h"
 #include "detect/stream_core.h"
 
 namespace wcp::detect {
@@ -180,50 +180,18 @@ GcpResult detect_gcp_lattice(const Computation& comp,
     return true;
   };
 
-  // Flat-storage BFS (common/cut_storage.h): cuts enter the arena in FIFO
-  // order, so the explicit frontier queue collapses into the sweep index.
-  CutArena arena(w);
-  CutTable visited;
-  const CutHash hasher;
-  std::vector<StateIndex> scratch(w, 1);
-  visited.intern(arena, scratch, hasher(scratch));
-
-  const auto fill_stats = [&] {
-    arena.add_stats(res.storage);
-    visited.add_stats(res.storage);
-  };
-
-  for (std::size_t head = 0; head < arena.size(); ++head) {
-    arena.copy_to(static_cast<CutHandle>(head), scratch);
-    ++res.cuts_explored;
-    if (satisfies(scratch)) {
-      res.detected = true;
-      res.cut = scratch;
-      fill_stats();
-      return res;
-    }
-    if (max_cuts >= 0 && res.cuts_explored >= max_cuts) {
-      fill_stats();
-      return res;
-    }
-
-    for (std::size_t s = 0; s < w; ++s) {
-      if (scratch[s] + 1 > comp.num_states(res.procs[s])) continue;
-      scratch[s] += 1;
-      bool consistent = true;
-      for (std::size_t t = 0; t < w && consistent; ++t) {
-        if (t == s) continue;
-        if (comp.happened_before(res.procs[s], scratch[s], res.procs[t],
-                                 scratch[t]) ||
-            comp.happened_before(res.procs[t], scratch[t], res.procs[s],
-                                 scratch[s]))
-          consistent = false;
-      }
-      if (consistent) visited.intern(arena, scratch, hasher(scratch));
-      scratch[s] -= 1;
-    }
-  }
-  fill_stats();
+  // The lattice walk (detect/cut_walk.h) over the GCP's process set.
+  CutWalk walk(TraceClocks{comp, res.procs}, w, max_cuts);
+  const WalkStatus status =
+      walk.step(-1, [&](const std::vector<StateIndex>& cut) {
+        if (!satisfies(cut)) return Visit::kContinue;
+        res.cut = cut;
+        return Visit::kStop;
+      });
+  res.detected = status == WalkStatus::kStopped;
+  res.truncated = status == WalkStatus::kTruncated;
+  res.cuts_explored = walk.visited();
+  res.storage = walk.storage();
   return res;
 }
 

@@ -82,6 +82,7 @@ struct GcpResult {
   std::int64_t eliminations = 0;
   std::int64_t channel_evals = 0;      // channel-predicate evaluations
   std::int64_t cuts_explored = 0;      // lattice oracle only
+  bool truncated = false;              // lattice oracle hit max_cuts
   CutStorageStats storage;             // lattice oracle only
 };
 
@@ -90,8 +91,10 @@ struct GcpResult {
 GcpResult detect_gcp(const Computation& comp,
                      std::span<const ChannelPredicate> channels);
 
-/// Brute-force lattice oracle: BFS over consistent cuts of the same process
-/// set, returning the first (minimal-level) satisfying cut.
+/// Brute-force lattice oracle: the lattice walk (detect/cut_walk.h) over
+/// consistent cuts of the same process set, returning the first
+/// (minimal-level) satisfying cut. At `max_cuts` it stops with `truncated`
+/// set, and a not-detected verdict then proves nothing.
 GcpResult detect_gcp_lattice(const Computation& comp,
                              std::span<const ChannelPredicate> channels,
                              std::int64_t max_cuts = -1);

@@ -1,32 +1,32 @@
 // Cooper–Marzullo style global-state lattice detection — the general
 // baseline discussed in §1 of the paper.
 //
-// Enumerates the lattice of consistent cuts over the predicate processes in
-// level (breadth-first) order until a cut satisfying the WCP is found. This
+// Both detectors host the one lattice walk (detect/cut_walk.h) over the
+// ground-truth clocks of the predicate processes, in level (breadth-first)
+// order. detect_lattice stops at the first cut satisfying the WCP. This
 // detects *possibly(phi)* for arbitrary phi; for a WCP the first satisfying
 // cut found at the minimal level is exactly the pointwise-minimal cut the
 // token algorithms return (satisfying cuts of a conjunction are closed
-// under pointwise meet), which the tests exploit.
+// under pointwise meet), which the tests exploit. detect_definitely walks
+// only the non-satisfying cuts and asks whether the top cut is reachable.
 //
 // The number of cuts explored can grow as O(m^n) — the cost that motivates
 // the paper's algorithms; bench E10 measures the blowup.
 //
-// Both detectors run one serial BFS: multi-lane exploration never reached
-// its 1.8x gate on 4 cores (ALGORITHMS.md §15), and slicing
-// (detect/sliced.h) is what beats the O(m^n) cost. The `threads` parameter
-// is kept for the callers that still pass it (perfbench/): results are
-// identical for every value, and threads == 0 still resolves
-// common::default_threads(), so a malformed WCP_THREADS fails
-// closed.
-// Cut storage: both detectors keep every visited cut in flat arenas
+// The walk is serial: multi-lane exploration never reached its 1.8x gate
+// on 4 cores (ALGORITHMS.md §15), and slicing (detect/sliced.h) is what
+// beats the O(m^n) cost. The `threads` parameter is kept for the callers
+// that still pass it (perfbench/): results are identical for every value,
+// and threads == 0 still resolves common::default_threads(), so a
+// malformed WCP_THREADS fails closed.
+//
+// Cut storage: the walk keeps every visited cut in flat arenas
 // (common/cut_storage.h) — packed 32-bit components, open-addressing
-// dedup tables with precomputed hashes, dense-handle parent vectors —
-// instead of per-cut heap-allocated std::vector<StateIndex> nodes. The
+// dedup tables with precomputed hashes, dense-handle parent vectors. The
 // `storage` block of the results reports the measured footprint.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,6 +36,22 @@
 #include "trace/trace_store_stats.h"
 
 namespace wcp::detect {
+
+/// Clock oracle of the offline lattice hosts (detect/cut_walk.h): the
+/// ground-truth clocks of `procs`, in slot order. Complete: every state is
+/// there from the start.
+struct TraceClocks {
+  const Computation& comp;
+  std::span<const ProcessId> procs;
+
+  [[nodiscard]] StateIndex last(std::size_t s) const {
+    return comp.num_states(procs[s]);
+  }
+  [[nodiscard]] StateIndex clock(std::size_t s, StateIndex k,
+                                 std::size_t t) const {
+    return comp.clock_component(procs[s], k, procs[t]);
+  }
+};
 
 struct LatticeResult {
   bool detected = false;

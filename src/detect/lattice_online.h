@@ -10,11 +10,13 @@
 // detect_lattice() explores the same lattice post-hoc; the two must agree
 // (tests/lattice_online_test.cc).
 //
-// The level-ordered exploration itself lives in detect::LatticeOnlineCore
-// (detect/stream_core.h) so the streaming service can run it over wire-fed
-// streams with frontier GC; this node hosts the core on the simulator
-// (never garbage-collecting — simulator replays are bounded) and forwards
-// the work accounting into the coordinator metrics.
+// The level-ordered exploration is the one lattice walk
+// (detect/cut_walk.h), hosted over a live stream by
+// detect::LatticeOnlineCore (detect/stream_core.h) so the streaming
+// service can run it over wire-fed streams with frontier GC. This node
+// hosts the core on the simulator (never garbage-collecting — simulator
+// replays are bounded) and forwards the work accounting, one unit per
+// clock component read, into the coordinator metrics.
 #pragma once
 
 #include <memory>

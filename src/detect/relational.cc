@@ -1,8 +1,8 @@
 #include "detect/relational.h"
 
-#include "common/cut_hash.h"
-#include "common/cut_storage.h"
 #include "common/error.h"
+#include "detect/cut_walk.h"
+#include "detect/lattice.h"
 
 namespace wcp::detect {
 
@@ -13,59 +13,25 @@ GeneralResult detect_possibly_general(const pred::VarComputation& vc,
   const Computation& comp = vc.computation;
   const std::size_t N = comp.num_processes();
 
-  GeneralResult res;
-
+  // The walk over every process (detect/cut_walk.h), stopping at the first
+  // cut whose bindings satisfy phi.
+  std::vector<ProcessId> procs;
+  for (std::size_t p = 0; p < N; ++p)
+    procs.emplace_back(static_cast<int>(p));
   std::vector<pred::Env> envs(N);
-  auto satisfies = [&](const std::vector<StateIndex>& cut) {
-    for (std::size_t p = 0; p < N; ++p)
-      envs[p] = vc.env(ProcessId(static_cast<int>(p)), cut[p]);
-    return phi(envs);
-  };
-
-  // Flat-storage BFS (common/cut_storage.h): visited-insertion order equals
-  // FIFO pop order, so the frontier is the arena suffix past `head`.
-  CutArena arena(N);
-  CutTable visited;
-  const CutHash hasher;
-  std::vector<StateIndex> scratch(N, 1);
-  visited.intern(arena, scratch, hasher(scratch));
-
-  const auto fill_stats = [&] {
-    arena.add_stats(res.storage);
-    visited.add_stats(res.storage);
-  };
-
-  for (std::size_t head = 0; head < arena.size(); ++head) {
-    arena.copy_to(static_cast<CutHandle>(head), scratch);
-    ++res.cuts_explored;
-    if (satisfies(scratch)) {
-      res.detected = true;
-      res.cut = scratch;
-      fill_stats();
-      return res;
-    }
-    if (max_cuts >= 0 && res.cuts_explored >= max_cuts) {
-      res.truncated = true;
-      fill_stats();
-      return res;
-    }
-    for (std::size_t p = 0; p < N; ++p) {
-      const ProcessId pid(static_cast<int>(p));
-      if (scratch[p] + 1 > comp.num_states(pid)) continue;
-      scratch[p] += 1;
-      bool consistent = true;
-      for (std::size_t t = 0; t < N && consistent; ++t) {
-        if (t == p) continue;
-        const ProcessId tid(static_cast<int>(t));
-        if (comp.happened_before(pid, scratch[p], tid, scratch[t]) ||
-            comp.happened_before(tid, scratch[t], pid, scratch[p]))
-          consistent = false;
-      }
-      if (consistent) visited.intern(arena, scratch, hasher(scratch));
-      scratch[p] -= 1;
-    }
-  }
-  fill_stats();
+  GeneralResult res;
+  CutWalk walk(TraceClocks{comp, procs}, N, max_cuts);
+  const WalkStatus status =
+      walk.step(-1, [&](const std::vector<StateIndex>& cut) {
+        for (std::size_t p = 0; p < N; ++p) envs[p] = vc.env(procs[p], cut[p]);
+        if (!phi(envs)) return Visit::kContinue;
+        res.cut = cut;
+        return Visit::kStop;
+      });
+  res.detected = status == WalkStatus::kStopped;
+  res.truncated = status == WalkStatus::kTruncated;
+  res.cuts_explored = walk.visited();
+  res.storage = walk.storage();
   return res;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "common/cut_hash.h"
 #include "common/error.h"
 #include "sim/network.h"
 
@@ -250,242 +249,52 @@ std::int64_t CentralizedCore::resident_bytes() const {
 LatticeOnlineCore::LatticeOnlineCore(const app::StateStream& stream,
                                      app::CoreHooks hooks,
                                      std::int64_t max_cuts)
-    : stream_(stream), hooks_(std::move(hooks)), max_cuts_(max_cuts) {
-  WCP_REQUIRE(n() >= 1, "empty predicate");
-  visited_arena_ = CutArena(n());
-  // Seed the search with the bottom cut (always consistent).
-  const std::vector<StateIndex> bottom(n(), 1);
-  enqueue(visited_table_.intern(visited_arena_, bottom, CutHash{}(bottom))
-              .handle);
-}
-
-void LatticeOnlineCore::enqueue(CutHandle h) {
-  StateIndex level = 0;
-  for (const std::uint32_t k : visited_arena_.get(h))
-    level += static_cast<StateIndex>(k);
-  ready_.push_back(Entry{level, seq_++, h});
-  std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
-}
+    : stream_(stream),
+      hooks_(std::move(hooks)),
+      max_cuts_(max_cuts),
+      walk_(StreamClocks{stream}, stream.slots(), -1) {}
 
 void LatticeOnlineCore::on_state(std::size_t s) {
   if (done_) return;
-  const StateIndex k = stream_.last(s);
-  // Wake every cut that was waiting for exactly this state.
-  auto it = parked_.find({s, k});
-  if (it != parked_.end()) {
-    for (const CutHandle h : it->second) enqueue(h);
-    parked_.erase(it);
-  }
+  walk_.arrive(s);
   drain();
-  check_exhausted();
 }
 
 void LatticeOnlineCore::on_eos(std::size_t s) {
   if (done_) return;
-  // Parked cuts waiting on states of slot s can never be woken: every
-  // parked key on s waits for a position > last(s), which will never
-  // arrive, and no satisfying cut can extend past a finished stream.
-  for (auto it = parked_.begin(); it != parked_.end();) {
-    if (it->first.first == s) {
-      it = parked_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // No satisfying cut can extend past a finished stream.
+  walk_.end(s);
   drain();
-  check_exhausted();
-}
-
-void LatticeOnlineCore::check_exhausted() {
-  // No active cut anywhere: future states can only wake parked cuts, so
-  // the exploration is complete and the predicate never held.
-  if (!done_ && !gave_up_ && ready_.empty() && parked_.empty()) {
-    done_ = true;
-    detected_ = false;
-  }
-}
-
-bool LatticeOnlineCore::available(const std::vector<StateIndex>& cut) const {
-  for (std::size_t s = 0; s < n(); ++s)
-    if (cut[s] > stream_.last(s)) return false;
-  return true;
 }
 
 void LatticeOnlineCore::drain() {
-  const CutHash hasher;
-
-  while (!ready_.empty()) {
-    const CutHandle handle = ready_.front().cut;
-    std::pop_heap(ready_.begin(), ready_.end(), std::greater<>{});
-    ready_.pop_back();
-    visited_arena_.copy_to(handle, scratch_);
-    std::vector<StateIndex>& cut = scratch_;
-
-    if (!available(cut)) {
-      // Park on the first missing component (unless its stream ended, in
-      // which case the cut is unreachable and is dropped).
-      for (std::size_t s = 0; s < n(); ++s) {
-        if (cut[s] > stream_.last(s)) {
-          if (!stream_.eos(s)) parked_[{s, cut[s]}].push_back(handle);
-          break;
+  // The cap counts the cut past max_cuts before giving up, so it is this
+  // host's, not the walk's.
+  const WalkStatus status =
+      walk_.step(-1, [this](const std::vector<StateIndex>& cut) {
+        max_frontier_ = std::max(max_frontier_, walk_.frontier());
+        if (max_cuts_ >= 0 && walk_.visited() > max_cuts_) {
+          gave_up_ = true;
+          return Visit::kStop;
         }
-      }
-      continue;
-    }
-
-    // Cuts that travelled through the parked path were generated before
-    // their advanced state's clock was known, so consistency could not be
-    // checked then; validate every popped cut here.
-    {
-      bool consistent = true;
-      for (std::size_t s = 0; s < n() && consistent; ++s) {
-        for (std::size_t t = s + 1; t < n() && consistent; ++t) {
-          hooks_.add_work(1);
-          if (stream_.clock(s, cut[s], t) >= cut[t] ||
-              stream_.clock(t, cut[t], s) >= cut[s])
-            consistent = false;
-        }
-      }
-      if (!consistent) continue;
-    }
-
-    ++cuts_explored_;
-    max_frontier_ = std::max(
-        max_frontier_,
-        static_cast<std::int64_t>(ready_.size() + parked_.size()));
-    if (max_cuts_ >= 0 && cuts_explored_ > max_cuts_) {
-      gave_up_ = true;
-      done_ = true;
-      detected_ = false;
-      return;
-    }
-
-    bool satisfies = true;
-    for (std::size_t s = 0; s < n() && satisfies; ++s)
-      if (!stream_.pred(s, cut[s])) satisfies = false;
-    if (satisfies) {
-      done_ = true;
-      detected_ = true;
-      cut_ = cut;
-      return;
-    }
-
-    // Expand consistent successors. Consistency of (s advanced by one)
-    // against component t: neither state happened before the other, via
-    // the own-component vector-clock test. The advance is done in place on
-    // the scratch cut and undone after interning — no temporary vectors.
-    for (std::size_t s = 0; s < n(); ++s) {
-      cut[s] += 1;
-      const std::size_t hash = hasher(cut);
-      if (visited_table_.find(visited_arena_, cut, hash) != kNoCut) {
-        cut[s] -= 1;
-        continue;
-      }
-      // The advanced state may not have arrived yet; consistency can only
-      // be decided with its clock. Park the candidate until it arrives.
-      if (cut[s] > stream_.last(s)) {
-        if (!stream_.eos(s))
-          parked_[{s, cut[s]}].push_back(
-              visited_table_.intern(visited_arena_, cut, hash).handle);
-        cut[s] -= 1;
-        continue;
-      }
-      bool consistent = true;
-      for (std::size_t t = 0; t < n() && consistent; ++t) {
-        if (t == s) continue;
-        hooks_.add_work(1);
-        // (t, cut[t]) -> (s, cut[s]) iff vs[t] >= cut[t]; and vice versa.
-        if (stream_.clock(s, cut[s], t) >= cut[t] ||
-            stream_.clock(t, cut[t], s) >= cut[s])
-          consistent = false;
-      }
-      if (consistent)
-        enqueue(visited_table_.intern(visited_arena_, cut, hash).handle);
-      cut[s] -= 1;
-    }
+        for (std::size_t s = 0; s < cut.size(); ++s)
+          if (!stream_.pred(s, cut[s])) return Visit::kContinue;
+        detected_ = true;
+        cut_ = cut;
+        return Visit::kStop;
+      });
+  if (walk_.clock_reads() > work_reported_) {
+    hooks_.add_work(walk_.clock_reads() - work_reported_);
+    work_reported_ = walk_.clock_reads();
   }
+  // No cut ready or parked: future states can only wake parked cuts, so
+  // the exploration is complete and the predicate never held.
+  done_ = status == WalkStatus::kStopped || walk_.exhausted();
 }
 
 StateIndex LatticeOnlineCore::frontier(std::size_t s) const {
   if (done_) return stream_.last(s) + 1;
-  StateIndex lo = stream_.last(s) + 1;
-  bool any = false;
-  const auto consider = [&](CutHandle h) {
-    const StateIndex c = static_cast<StateIndex>(visited_arena_.get(h)[s]);
-    if (!any || c < lo) lo = c;
-    any = true;
-  };
-  for (const Entry& e : ready_) consider(e.cut);
-  for (const auto& [key, cuts] : parked_)
-    for (const CutHandle h : cuts) consider(h);
-  return lo;
-}
-
-void LatticeOnlineCore::collect(std::span<const StateIndex> floor) {
-  WCP_CHECK(floor.size() == n());
-  if (visited_arena_.empty()) return;
-
-  // Retire every visited cut with some component strictly below the floor.
-  // Safety: active (ready + parked) cuts have all components >= the
-  // frontier >= floor, and successors only grow componentwise, so no
-  // future cut can equal a retired one — dropping it from the visited set
-  // cannot cause re-exploration.
-  CutArena next_arena(n());
-  CutTable next_table;
-  std::vector<CutHandle> remap(visited_arena_.size(), kNoCut);
-  const CutHash hasher;
-  for (CutHandle h = 0; h < static_cast<CutHandle>(visited_arena_.size());
-       ++h) {
-    const auto span = visited_arena_.get(h);
-    bool keep = true;
-    for (std::size_t s = 0; s < n() && keep; ++s)
-      if (static_cast<StateIndex>(span[s]) < floor[s]) keep = false;
-    if (!keep) {
-      ++cuts_retired_;
-      continue;
-    }
-    visited_arena_.copy_to(h, scratch_);
-    remap[h] = next_table.intern(next_arena, scratch_, hasher(scratch_)).handle;
-  }
-  if (next_arena.size() == visited_arena_.size()) return;  // nothing retired
-
-  for (Entry& e : ready_) {
-    e.cut = remap[e.cut];
-    WCP_CHECK_MSG(e.cut != kNoCut, "GC retired an active ready cut");
-  }
-  for (auto& [key, cuts] : parked_)
-    for (CutHandle& h : cuts) {
-      h = remap[h];
-      WCP_CHECK_MSG(h != kNoCut, "GC retired an active parked cut");
-    }
-
-  retired_storage_.peak_bytes =
-      std::max(retired_storage_.peak_bytes,
-               visited_arena_.peak_bytes() + visited_table_.peak_bytes());
-  retired_storage_.table_probes += visited_table_.probes();
-  retired_storage_.heap_allocs +=
-      visited_arena_.growths() + visited_table_.growths();
-  visited_arena_ = std::move(next_arena);
-  visited_table_ = std::move(next_table);
-}
-
-CutStorageStats LatticeOnlineCore::storage() const {
-  CutStorageStats s;
-  visited_arena_.add_stats(s);
-  visited_table_.add_stats(s);
-  s.peak_bytes = std::max(s.peak_bytes, retired_storage_.peak_bytes);
-  s.table_probes += retired_storage_.table_probes;
-  s.heap_allocs += retired_storage_.heap_allocs;
-  return s;
-}
-
-std::int64_t LatticeOnlineCore::resident_bytes() const {
-  std::int64_t b =
-      visited_arena_.bytes_in_use() + visited_table_.bytes_in_use();
-  b += static_cast<std::int64_t>(ready_.size() * sizeof(Entry));
-  for (const auto& [key, cuts] : parked_)
-    b += static_cast<std::int64_t>(64 + cuts.size() * sizeof(CutHandle));
-  return b;
+  return walk_.lowest(s, stream_.last(s) + 1);
 }
 
 }  // namespace wcp::detect

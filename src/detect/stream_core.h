@@ -17,10 +17,10 @@
 //                      advance-candidate loop. CentralizedChecker (WCP and
 //                      run_gcp_centralized), the serve checker
 //                      subscription and detect_gcp host it.
-//   LatticeOnlineCore— the online Cooper-Marzullo level-ordered lattice
-//                      exploration, extracted verbatim from
-//                      LatticeChecker::drain(), plus a collect() that
-//                      retires visited cuts below the GC frontier.
+//   LatticeOnlineCore— the online host of the Cooper-Marzullo lattice walk
+//                      (detect/cut_walk.h): it feeds the walk arrivals and
+//                      ends of stream, and its collect() lets the walk
+//                      retire visited cuts below the GC frontier.
 //
 // Extraction fidelity: the sim::Node hosts (CentralizedChecker,
 // LatticeChecker) delegate to these cores and install CoreHooks that
@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -46,6 +45,7 @@
 #include "clock/vector_clock.h"
 #include "common/cut_storage.h"
 #include "common/types.h"
+#include "detect/cut_walk.h"
 #include "detect/gcp.h"
 
 namespace wcp::sim {
@@ -287,10 +287,10 @@ class CentralizedCore final : public app::StreamCore {
 };
 
 /// Online Cooper-Marzullo lattice exploration over an all-states stream
-/// (position == state index). See detect/lattice_online.h for the search
-/// structure; this core adds eos-driven termination (the search is
-/// exhausted once no active cut remains) and frontier GC over the visited
-/// arena.
+/// (position == state index): the lattice walk (detect/cut_walk.h) over
+/// the stream's clocks, fed arrivals and ends of stream. The search is
+/// exhausted once no cut is ready or parked; collect() is frontier GC over
+/// the walk's visited set.
 class LatticeOnlineCore final : public app::StreamCore {
  public:
   LatticeOnlineCore(const app::StateStream& stream, app::CoreHooks hooks,
@@ -305,49 +305,43 @@ class LatticeOnlineCore final : public app::StreamCore {
     return cut_;
   }
   [[nodiscard]] StateIndex frontier(std::size_t s) const override;
-  void collect(std::span<const StateIndex> floor) override;
-  [[nodiscard]] std::int64_t resident_bytes() const override;
+  void collect(std::span<const StateIndex> floor) override {
+    walk_.collect(floor);
+  }
+  [[nodiscard]] std::int64_t resident_bytes() const override {
+    return walk_.resident_bytes();
+  }
 
   /// Exploration exceeded max_cuts: the (non-)verdict is unreliable.
   [[nodiscard]] bool truncated() const { return gave_up_; }
-  [[nodiscard]] std::int64_t cuts_explored() const { return cuts_explored_; }
+  /// Consistent cuts reached, the one past max_cuts included.
+  [[nodiscard]] std::int64_t cuts_explored() const { return walk_.visited(); }
+  /// Peak of the walk's frontier() when a cut is reached.
   [[nodiscard]] std::int64_t max_frontier() const { return max_frontier_; }
-  [[nodiscard]] std::int64_t cuts_retired() const { return cuts_retired_; }
-  [[nodiscard]] CutStorageStats storage() const;
+  [[nodiscard]] std::int64_t cuts_retired() const {
+    return walk_.cuts_retired();
+  }
+  [[nodiscard]] CutStorageStats storage() const { return walk_.storage(); }
 
  private:
+  /// The walk's live clock oracle: the stream itself.
+  struct StreamClocks {
+    const app::StateStream& stream;
+    StateIndex last(std::size_t s) const { return stream.last(s); }
+    bool ended(std::size_t s) const { return stream.eos(s); }
+    StateIndex clock(std::size_t s, StateIndex k, std::size_t t) const {
+      return stream.clock(s, k, t);
+    }
+  };
+
   void drain();
-  void enqueue(CutHandle h);
-  void check_exhausted();
-  [[nodiscard]] bool available(const std::vector<StateIndex>& cut) const;
-  [[nodiscard]] std::size_t n() const { return stream_.slots(); }
 
   const app::StateStream& stream_;
   app::CoreHooks hooks_;
   std::int64_t max_cuts_ = -1;
-
-  // Min-heap on (level, seq) kept as a std::push_heap/pop_heap vector so
-  // collect() can walk the live entries; pop order is bit-identical to the
-  // std::priority_queue it replaces (same comparator, same algorithm).
-  struct Entry {
-    StateIndex level;
-    std::int64_t seq;
-    CutHandle cut;
-    bool operator>(const Entry& o) const {
-      return level != o.level ? level > o.level : seq > o.seq;
-    }
-  };
-  std::vector<Entry> ready_;
-  std::int64_t seq_ = 0;
-  std::map<std::pair<std::size_t, StateIndex>, std::vector<CutHandle>>
-      parked_;
-  CutArena visited_arena_;
-  CutTable visited_table_;
-  CutStorageStats retired_storage_;  // stats of arenas replaced by collect()
-  std::vector<StateIndex> scratch_;  // popped cut, widened; reused
-  std::int64_t cuts_explored_ = 0;
+  CutWalk<StreamClocks> walk_;
+  std::int64_t work_reported_ = 0;  // walk clock reads already charged
   std::int64_t max_frontier_ = 0;
-  std::int64_t cuts_retired_ = 0;
   bool gave_up_ = false;
   bool done_ = false;
   bool detected_ = false;

@@ -241,6 +241,7 @@ TEST(FlatStorageEquiv, GcpLatticeMatchesReferenceStructure) {
     const auto comp = random_comp(seed, 4, 4, 10);
     const auto ref = ref_detect_lattice(comp, -1);
     const auto r = detect_gcp_lattice(comp, {}, -1);
+    ASSERT_FALSE(r.truncated) << "seed " << seed;
     EXPECT_EQ(r.detected, ref.detected) << "seed " << seed;
     EXPECT_EQ(r.cut, ref.cut) << "seed " << seed;
     EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << "seed " << seed;
@@ -254,6 +255,7 @@ TEST(FlatStorageEquiv, GcpLatticeWithChannelsMatchesAdvanceDetector) {
     const auto comp = random_comp(seed, 3, 3, 8);
     const auto channels = ChannelPredicate::all_channels_empty(3);
     const auto oracle = detect_gcp_lattice(comp, channels, 2'000'000);
+    ASSERT_FALSE(oracle.truncated) << "seed " << seed;
     const auto fast = detect_gcp(comp, channels);
     EXPECT_EQ(oracle.detected, fast.detected) << "seed " << seed;
     if (oracle.detected) {

@@ -129,6 +129,28 @@ TEST(DetectGcp, ChannelEndpointsOutsidePredicateSetJoinTheCut) {
   EXPECT_EQ(r.cut.size(), 3u);
 }
 
+TEST(DetectGcpLattice, CapReportsTruncatedNotANegativeVerdict) {
+  // The satisfying cut (2, 1) is one level up, so a cap of one cut stops
+  // at the bottom cut before reaching it.
+  ComputationBuilder b(2);
+  b.set_default_pred(ProcessId(0), true);
+  b.set_default_pred(ProcessId(1), true);
+  b.send(ProcessId(0), ProcessId(1));  // never received
+  const auto c = b.build();
+  const ChannelPredicate chan[] = {
+      ChannelPredicate::at_least(ProcessId(0), ProcessId(1), 1)};
+
+  const auto capped = detect_gcp_lattice(c, chan, /*max_cuts=*/1);
+  EXPECT_TRUE(capped.truncated);
+  EXPECT_FALSE(capped.detected);
+  EXPECT_EQ(capped.cuts_explored, 1);
+
+  const auto full = detect_gcp_lattice(c, chan);
+  EXPECT_FALSE(full.truncated);
+  ASSERT_TRUE(full.detected);
+  EXPECT_EQ(full.cut, (std::vector<StateIndex>{2, 1}));
+}
+
 class GcpVsLattice : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GcpVsLattice, AdvanceCandidateMatchesLatticeOracle) {
@@ -145,6 +167,7 @@ TEST_P(GcpVsLattice, AdvanceCandidateMatchesLatticeOracle) {
   const auto channels = ChannelPredicate::all_channels_empty(4);
   const auto fast = detect_gcp(c, channels);
   const auto oracle = detect_gcp_lattice(c, channels, /*max_cuts=*/500'000);
+  ASSERT_FALSE(oracle.truncated) << "seed " << seed;
   ASSERT_EQ(fast.detected, oracle.detected) << "seed " << seed;
   if (fast.detected) {
     EXPECT_EQ(fast.cut, oracle.cut) << "seed " << seed;
@@ -174,6 +197,7 @@ TEST_P(GcpAtMostVsLattice, MixedKindsMatchOracle) {
   };
   const auto fast = detect_gcp(c, channels);
   const auto oracle = detect_gcp_lattice(c, channels, /*max_cuts=*/500'000);
+  ASSERT_FALSE(oracle.truncated) << "seed " << seed;
   ASSERT_EQ(fast.detected, oracle.detected) << "seed " << seed;
   if (fast.detected) {
     EXPECT_EQ(fast.cut, oracle.cut) << "seed " << seed;

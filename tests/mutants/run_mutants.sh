@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Mutation check. Each tests/mutants/<name>.patch flips one comparison in
-# src/ and names, on its "# kill:" line, the ctest suites that must catch
-# it. For every patch this script applies it to one copy of the sources
+# Mutation check. Each tests/mutants/<name>.patch flips one comparison or
+# drops one check in src/ and names, on its "# kill:" line, the ctest
+# suites that must catch it. For every patch this script applies it to one copy of the sources
 # under <build-dir>/mutants, rebuilds the named suites there and runs them,
 # then reverts it. A mutant survives when every named suite still passes.
+# Each suite run gets $suite_timeout seconds: a suite that blocks on a
+# mutant (a TCP round trip whose server never answers) counts as killing
+# it instead of hanging the run.
 #
 #   tests/mutants/run_mutants.sh <build-dir> [name...]
 #
@@ -33,6 +36,7 @@ else
   patches=("$repo"/tests/mutants/*.patch)
 fi
 
+suite_timeout=300
 survived=()
 for p in "${patches[@]}"; do
   name=$(basename "$p" .patch)
@@ -52,7 +56,14 @@ for p in "${patches[@]}"; do
   fi
   killed=()
   for t in "${suites[@]}"; do
-    if ! "$bin/tests/$t" > "$work/$name.$t.log" 2>&1; then killed+=("$t"); fi
+    status=0
+    timeout -k 10 "$suite_timeout" "$bin/tests/$t" > "$work/$name.$t.log" 2>&1 \
+      || status=$?
+    if [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
+      killed+=("$t(timeout)")
+    elif [ "$status" -ne 0 ]; then
+      killed+=("$t")
+    fi
   done
   patch -d "$src" -p1 -R --quiet < "$p"
   if [ ${#killed[@]} -eq 0 ]; then

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "detect/lattice.h"
 #include "serve/protocol.h"
 #include "serve/replay.h"
 #include "serve/session.h"
@@ -110,6 +111,10 @@ TEST(ServeGc, LatticeCollectPreservesVerdictUnderAggressiveGc) {
     EXPECT_EQ(a.verdicts[0].detected, b.verdicts[0].detected)
         << "seed " << seed;
     EXPECT_EQ(a.verdicts[0].cut, b.verdicts[0].cut) << "seed " << seed;
+    // And neither run differs from the offline walk.
+    const auto offline = detect::detect_lattice(comp);
+    EXPECT_EQ(a.verdicts[0].detected, offline.detected) << "seed " << seed;
+    EXPECT_EQ(a.verdicts[0].cut, offline.cut) << "seed " << seed;
   }
 }
 
