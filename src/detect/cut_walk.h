@@ -28,7 +28,9 @@
 //     drops them and collect() retires visited cuts below a GC floor.
 //
 // Consistency: every cut the walk holds is consistent, and so is the
-// bottom cut (all 1s), because a first state has seen no other process.
+// bottom cut (all 1s), because a first state has seen no other process:
+// clock(s, 1)[t] = 0 for t != s. Offline clocks are replayed from the
+// trace; the serve session refuses a first snapshot that breaks this.
 // Advancing slot s to k keeps a cut consistent iff no other component
 // happened before (s, k), i.e. clock(s, k)[t] < cut[t] for every t != s:
 // n-1 clock reads. The reverse direction cannot fire: (s, k) happening
@@ -42,6 +44,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -57,7 +60,6 @@ enum class Visit : std::uint8_t { kContinue, kStop };
 
 /// Why CutWalk::step returned.
 enum class WalkStatus : std::uint8_t {
-  kBudget,     ///< `budget` cuts visited; the next step() resumes there
   kStopped,    ///< the visit callback answered kStop
   kTruncated,  ///< `max_cuts` cuts visited without a stop
   kIdle,       ///< no cut left to visit (live: until more states arrive)
@@ -93,23 +95,23 @@ class CutWalk {
 
   /// Visits consistent cuts in level order, each once, until `visit`
   /// answers kStop, `max_cuts` cuts were visited (the last one is left
-  /// unexpanded), no cut is left, or `budget` cuts were visited (< 0: no
-  /// budget). `admit` decides which consistent successors join the
-  /// frontier. Both see the walk's scratch cut: copy what must outlive the
-  /// call. After kStopped or kTruncated the walk is finished.
+  /// unexpanded) or no cut is left. `admit` decides which consistent
+  /// successors join the frontier; a live walk takes only AdmitAll, since
+  /// a parked successor is interned before its state can be tested. Both
+  /// see the walk's scratch cut: copy what must outlive the call. After
+  /// kStopped or kTruncated the walk is finished.
   template <typename OnVisit, typename Admit = AdmitAll>
-  WalkStatus step(std::int64_t budget, OnVisit&& visit, Admit&& admit = {}) {
-    while (budget != 0) {
-      if (!pop()) return WalkStatus::kIdle;
+    requires(!kLive || std::is_same_v<std::remove_cvref_t<Admit>, AdmitAll>)
+  WalkStatus step(OnVisit&& visit, Admit&& admit = {}) {
+    while (pop()) {
       ++visited_;
       if (visit(std::as_const(cut_)) == Visit::kStop)
         return WalkStatus::kStopped;
       if (max_cuts_ >= 0 && visited_ >= max_cuts_)
         return WalkStatus::kTruncated;
       expand(admit);
-      if (budget > 0) --budget;
     }
-    return WalkStatus::kBudget;
+    return WalkStatus::kIdle;
   }
 
   /// Cuts shown to the visit callback so far.

@@ -183,7 +183,7 @@ GcpResult detect_gcp_lattice(const Computation& comp,
   // The lattice walk (detect/cut_walk.h) over the GCP's process set.
   CutWalk walk(TraceClocks{comp, res.procs}, w, max_cuts);
   const WalkStatus status =
-      walk.step(-1, [&](const std::vector<StateIndex>& cut) {
+      walk.step([&](const std::vector<StateIndex>& cut) {
         if (!satisfies(cut)) return Visit::kContinue;
         res.cut = cut;
         return Visit::kStop;

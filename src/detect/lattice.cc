@@ -49,7 +49,7 @@ LatticeResult detect_lattice(const Computation& comp, std::int64_t max_cuts,
   if (threads == 0) (void)common::default_threads();
 
   LatticeResult res;
-  const WalkStatus status = walk.step(-1, [&](const Cut& cut) {
+  const WalkStatus status = walk.step([&](const Cut& cut) {
     res.max_frontier = std::max(res.max_frontier, walk.frontier() + 1);
     if (!holds_at(comp, procs, cut)) return Visit::kContinue;
     res.cut = cut;
@@ -88,7 +88,6 @@ DefinitelyResult detect_definitely(const Computation& comp,
   for (std::size_t s = 0; s < n; ++s) top[s] = comp.num_states(procs[s]);
   CutWalk walk(TraceClocks{comp, procs}, n, max_cuts);
   const WalkStatus status = walk.step(
-      -1,
       [&](const Cut& cut) {
         return cut == top ? Visit::kStop : Visit::kContinue;
       },

@@ -22,7 +22,7 @@ GeneralResult detect_possibly_general(const pred::VarComputation& vc,
   GeneralResult res;
   CutWalk walk(TraceClocks{comp, procs}, N, max_cuts);
   const WalkStatus status =
-      walk.step(-1, [&](const std::vector<StateIndex>& cut) {
+      walk.step([&](const std::vector<StateIndex>& cut) {
         for (std::size_t p = 0; p < N; ++p) envs[p] = vc.env(procs[p], cut[p]);
         if (!phi(envs)) return Visit::kContinue;
         res.cut = cut;

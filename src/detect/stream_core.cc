@@ -271,7 +271,7 @@ void LatticeOnlineCore::drain() {
   // The cap counts the cut past max_cuts before giving up, so it is this
   // host's, not the walk's.
   const WalkStatus status =
-      walk_.step(-1, [this](const std::vector<StateIndex>& cut) {
+      walk_.step([this](const std::vector<StateIndex>& cut) {
         max_frontier_ = std::max(max_frontier_, walk_.frontier());
         if (max_cuts_ >= 0 && walk_.visited() > max_cuts_) {
           gave_up_ = true;

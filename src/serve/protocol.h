@@ -16,7 +16,8 @@
 //              i64 max_cuts (<0: server default; lattice only)
 //   SNAPSHOT   u32 slot, u64 pred_mask (bit j = predicate j's local value),
 //              slots x u64 vector-clock components (own component = the
-//              1-based state index)
+//              1-based state index; a slot's first snapshot has every
+//              other component 0)
 //   EOS        u32 slot, or kAllSlots
 //   FINISH     (empty; implies EOS on every open slot)
 //
@@ -33,8 +34,8 @@
 // starts with "wcp-stream parse error:" and names the offending frame —
 // malformed input never silently parses as zeros. Structural validation
 // (lengths, ranges, magic, version) happens in decode_frame; semantic
-// stream validation (slot ranges against HELLO, clock monotonicity) happens
-// in the Session, with the same error prefix.
+// stream validation (slot ranges against HELLO, clock monotonicity, unit
+// first clocks) happens in the Session, with the same error prefix.
 #pragma once
 
 #include <cstdint>

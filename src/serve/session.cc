@@ -166,6 +166,17 @@ void Session::apply_snapshot(const SnapshotBody& b, std::uint64_t seq) {
        << b.clock[s] << ", expected " << expected;
     violation(os.str(), seq);
   }
+  // A first state has seen no other process. The lattice walk relies on
+  // it: the bottom cut is consistent only if every first clock is a unit.
+  if (expected == 1) {
+    for (std::size_t t = 0; t < buffer_->slots(); ++t)
+      if (t != s && b.clock[t] != 0) {
+        std::ostringstream os;
+        os << "first snapshot on slot " << b.slot << " has component " << t
+           << " = " << b.clock[t] << ", expected 0";
+        violation(os.str(), seq);
+      }
+  }
   if (buffer_->last(s) >= buffer_->base(s)) {
     for (std::size_t t = 0; t < buffer_->slots(); ++t)
       if (b.clock[t] < buffer_->clock(s, buffer_->last(s), t)) {

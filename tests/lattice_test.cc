@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "detect/cut_walk.h"
 #include "workload/random_workload.h"
 
 namespace wcp::detect {
@@ -90,44 +89,6 @@ TEST(Lattice, FrontierTracked) {
   const auto comp = b.build();
   const auto r = detect_lattice(comp);
   EXPECT_GE(r.max_frontier, 1);
-}
-
-TEST(CutWalk, BudgetedStepsResumeTheSameWalk) {
-  // step(budget) returns after at most `budget` visits with the frontier
-  // intact: one cut at a time visits the same cuts, in the same order, as
-  // detect_lattice's single unbudgeted step.
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    workload::RandomSpec spec;
-    spec.num_processes = 4;
-    spec.num_predicate = 3;
-    spec.events_per_process = 8;
-    spec.local_pred_prob = 0.2;
-    spec.seed = seed;
-    const auto comp = workload::make_random(spec);
-    const auto procs = comp.predicate_processes();
-    const auto whole = detect_lattice(comp);
-
-    CutWalk walk(TraceClocks{comp, procs}, procs.size(), -1);
-    std::vector<StateIndex> hit;
-    WalkStatus status = WalkStatus::kBudget;
-    while (status == WalkStatus::kBudget) {
-      const std::int64_t before = walk.visited();
-      status = walk.step(1, [&](const std::vector<StateIndex>& cut) {
-        for (std::size_t s = 0; s < procs.size(); ++s)
-          if (!comp.local_pred(procs[s], cut[s])) return Visit::kContinue;
-        hit = cut;
-        return Visit::kStop;
-      });
-      ASSERT_LE(walk.visited() - before, 1) << "seed " << seed;
-    }
-    ASSERT_EQ(status == WalkStatus::kStopped, whole.detected)
-        << "seed " << seed;
-    EXPECT_EQ(hit, whole.cut) << "seed " << seed;
-    EXPECT_EQ(walk.visited(), whole.cuts_explored) << "seed " << seed;
-    if (whole.detected) {
-      EXPECT_EQ(walk.path(), whole.witness_path) << "seed " << seed;
-    }
-  }
 }
 
 TEST(Lattice, ThreadsZeroResolvesToDefault) {

@@ -262,9 +262,20 @@ TEST(ServeSession, ViolationCorpus) {
     DirectSession s;
     s.feed(make_hello(2, 1));
     s.feed(make_subscribe(0, StreamAlgo::kToken, 0));
-    s.feed(make_snapshot(0, 1, {1, 5}));
-    expect_violation(s, make_snapshot(0, 1, {2, 4}),
+    s.feed(make_snapshot(0, 1, {1, 0}));
+    s.feed(make_snapshot(0, 1, {2, 5}));
+    expect_violation(s, make_snapshot(0, 1, {3, 4}),
                      "non-monotone clock on slot 0: component 1");
+  }
+  {
+    // A first state that claims to have seen another process: the bottom
+    // cut would not be consistent.
+    DirectSession s;
+    s.feed(make_hello(3, 1));
+    s.feed(make_subscribe(0, StreamAlgo::kLatticeOnline, 0));
+    s.feed(make_snapshot(0, 1, {1, 0, 0}));
+    expect_violation(s, make_snapshot(1, 1, {0, 1, 2}),
+                     "first snapshot on slot 1 has component 2 = 2");
   }
   {
     DirectSession s;
