@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -14,7 +15,8 @@ StreamClient::StreamClient(Transport& transport, ClientOptions opts)
 }
 
 void StreamClient::enqueue(const Frame& f) {
-  outbox_.push_back(encode_frame(f, next_seq_++));
+  // Frames leave the outbox in order, so this is the seq push() assigns.
+  outbox_.push_back(encode_frame(f, sent_.next() + outbox_.size()));
 }
 
 void StreamClient::hello(std::uint32_t slots, std::uint32_t num_predicates) {
@@ -38,11 +40,11 @@ void StreamClient::finish() { enqueue(make_finish()); }
 void StreamClient::handle(const Frame& f) {
   switch (f.type) {
     case FrameType::kAck:
-      if (f.ack.next_seq > acked_) {
-        acked_ = f.ack.next_seq;
-        while (!unacked_.empty() && unacked_.front().first < acked_)
-          unacked_.pop_front();
-      }
+      if (!sent_.ack(f.ack.next_seq))
+        throw std::runtime_error(
+            "wcp-stream parse error: ACK " + std::to_string(f.ack.next_seq) +
+            " is past the frames sent (next seq " +
+            std::to_string(sent_.next()) + ")");
       break;
     case FrameType::kVerdict:
       verdicts_.push_back(f.verdict);
@@ -70,15 +72,14 @@ bool StreamClient::pump(bool block) {
   for (bool moved = true; moved;) {
     moved = false;
     // The whole window leaves as one batch (one socket write over TCP).
-    const std::size_t room =
-        std::min(outbox_.size(), opts_.window - unacked_.size());
+    const std::size_t room = std::min(
+        outbox_.size(), opts_.window - sent_.in_flight().size());
     if (room > 0) {
       batch_.assign(outbox_.begin(),
                     outbox_.begin() + static_cast<std::ptrdiff_t>(room));
       transport_.send_batch(batch_);
       for (std::size_t i = 0; i < room; ++i) {
-        const std::uint64_t seq = acked_ + unacked_.size();
-        unacked_.emplace_back(seq, std::move(outbox_.front()));
+        sent_.push(std::move(outbox_.front()));
         outbox_.pop_front();
       }
       moved = true;
@@ -101,9 +102,10 @@ bool StreamClient::pump(bool block) {
 }
 
 void StreamClient::retransmit() {
-  if (unacked_.empty()) return;
+  if (sent_.in_flight().empty()) return;
   batch_.clear();
-  for (const auto& [seq, bytes] : unacked_) batch_.emplace_back(bytes);
+  for (const auto& [seq, bytes] : sent_.in_flight())
+    batch_.emplace_back(bytes);
   transport_.send_batch(batch_);
   ++retransmits_;
 }

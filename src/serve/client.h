@@ -9,12 +9,12 @@
 // collected; an ERROR frame raises std::runtime_error with the server's
 // message).
 //
-// Loss recovery mirrors sim/reliable.h at the frame level: everything sent
-// but not cumulatively acked is retained, and retransmit() resends it all
-// as one batch.
-// The driver calls retransmit() whenever a full pump round makes no
-// progress — on a faulty pipe that means frames were dropped; the server's
-// resequencer makes redelivery idempotent.
+// Loss recovery shares sim/reliable.h's sequence-and-ACK core
+// (common/seq_window.h): frames sent but not cumulatively acked stay in
+// flight, and retransmit() resends them all as one batch. The driver calls
+// it whenever a full pump round makes no progress (on a faulty pipe, frames
+// were dropped); the server's resequencer makes redelivery idempotent. An
+// ACK past the frames sent raises std::runtime_error.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "common/seq_window.h"
 #include "serve/protocol.h"
 #include "serve/transport.h"
 
@@ -58,7 +59,7 @@ class StreamClient {
   /// STATS received: the server applied the whole stream.
   [[nodiscard]] bool done() const { return done_; }
   [[nodiscard]] bool idle() const {
-    return outbox_.empty() && unacked_.empty();
+    return outbox_.empty() && sent_.in_flight().empty();
   }
   [[nodiscard]] const std::vector<VerdictBody>& verdicts() const {
     return verdicts_;
@@ -74,11 +75,8 @@ class StreamClient {
 
   Transport& transport_;
   ClientOptions opts_;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t acked_ = 0;
   std::deque<std::vector<std::uint8_t>> outbox_;  // not yet sent
-  /// (seq, frame) in flight, ordered by seq.
-  std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> unacked_;
+  SeqSender<std::vector<std::uint8_t>> sent_;    // sent, not yet acked
   /// Views of the frames one send_batch() call carries (reused).
   std::vector<std::span<const std::uint8_t>> batch_;
   std::vector<VerdictBody> verdicts_;

@@ -18,42 +18,44 @@ Session::Session(ServeOptions opts, Output out)
 
 Session::~Session() = default;
 
-void Session::violation(const std::string& why, std::uint64_t seq) {
+namespace {
+
+/// Throws the protocol violation `why` (its parts streamed in order) of the
+/// frame with sequence number `seq`.
+template <class... Why>
+[[noreturn]] void violation(std::uint64_t seq, const Why&... why) {
   std::ostringstream os;
-  os << "wcp-stream parse error: " << why << " (frame seq " << seq << ")";
+  os << "wcp-stream parse error: ";
+  (os << ... << why) << " (frame seq " << seq << ")";
   throw std::invalid_argument(os.str());
 }
+
+}  // namespace
 
 void Session::emit(const Frame& f) { out_(encode_frame(f, out_seq_++)); }
 
 void Session::on_frame(std::span<const std::uint8_t> bytes) {
   ack_owed_ = true;  // duplicates too: their ACK is what stops a resend loop
-  const FrameHeader h = peek_header(bytes);
-  if (h.seq < next_seq_ || pending_.count(h.seq) != 0) {
-    ++stats_.duplicates;  // already applied or already stashed
-  } else if (h.seq > next_seq_) {
-    ++stats_.resequenced;
-    pending_.emplace(h.seq,
-                     std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
-    if (pending_.size() > opts_.reseq_window) {
-      std::ostringstream os;
-      os << "resequence window exceeded: " << pending_.size()
-         << " frames buffered waiting for seq " << next_seq_;
-      violation(os.str(), h.seq);
-    }
-  } else {
-    apply_next(bytes);
-    // Drain every stashed successor that is now in order.
-    for (auto it = pending_.find(next_seq_); it != pending_.end();
-         it = pending_.find(next_seq_)) {
-      apply_next(it->second);
-      pending_.erase(it);
-    }
+  const std::uint64_t seq = peek_header(bytes).seq;
+  switch (received_.arrive(seq, [&] {
+    return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+  })) {
+    case SeqArrival::kDuplicate: ++stats_.duplicates; break;
+    case SeqArrival::kStashed:
+      ++stats_.resequenced;
+      if (received_.stashed() > opts_.reseq_window)
+        violation(seq, "resequence window exceeded: ", received_.stashed(),
+                  " frames buffered waiting for seq ", received_.next());
+      break;
+    case SeqArrival::kNext:  // apply it, then every stashed successor
+      apply(bytes);
+      while (const std::vector<std::uint8_t>* next = received_.advance())
+        apply(*next);
   }
 }
 
 void Session::end_batch() {
-  if (ack_owed_ && !finished_) send_ack(next_seq_);
+  if (ack_owed_ && !finished_) send_ack(received_.next());
 }
 
 void Session::send_ack(std::uint64_t next_seq) {
@@ -62,14 +64,10 @@ void Session::send_ack(std::uint64_t next_seq) {
   emit(make_ack(next_seq));
 }
 
-void Session::apply_next(std::span<const std::uint8_t> bytes) {
-  apply(decode_frame(bytes,
-                     hello_seen_ ? std::uint32_t(buffer_->slots()) : 0));
-  ++next_seq_;
-}
-
-void Session::apply(const Frame& f) {
-  if (finished_) violation("frame after finish", f.seq);
+void Session::apply(std::span<const std::uint8_t> bytes) {
+  const Frame f =
+      decode_frame(bytes, hello_seen_ ? std::uint32_t(buffer_->slots()) : 0);
+  if (finished_) violation(f.seq, "frame after finish");
   ++stats_.frames_in;
   switch (f.type) {
     case FrameType::kHello: return apply_hello(f.hello, f.seq);
@@ -80,17 +78,14 @@ void Session::apply(const Frame& f) {
     case FrameType::kAck:
     case FrameType::kVerdict:
     case FrameType::kStats:
-    case FrameType::kError: {
-      std::ostringstream os;
-      os << "server-bound stream carries server frame type "
-         << to_string(f.type);
-      violation(os.str(), f.seq);
-    }
+    case FrameType::kError:
+      violation(f.seq, "server-bound stream carries server frame type ",
+                to_string(f.type));
   }
 }
 
 void Session::apply_hello(const HelloBody& h, std::uint64_t seq) {
-  if (hello_seen_) violation("duplicate hello", seq);
+  if (hello_seen_) violation(seq, "duplicate hello");
   hello_seen_ = true;
   num_predicates_ = h.num_predicates;
   buffer_ = std::make_unique<StreamBuffer>(h.slots);
@@ -99,21 +94,15 @@ void Session::apply_hello(const HelloBody& h, std::uint64_t seq) {
 }
 
 void Session::apply_subscribe(const SubscribeBody& b, std::uint64_t seq) {
-  if (!hello_seen_) violation("subscribe before hello", seq);
+  if (!hello_seen_) violation(seq, "subscribe before hello");
   if (snapshots_started_)
-    violation("subscribe after the first snapshot", seq);
-  if (b.pred_index >= num_predicates_) {
-    std::ostringstream os;
-    os << "predicate index " << b.pred_index << " out of range [0, "
-       << num_predicates_ << ")";
-    violation(os.str(), seq);
-  }
+    violation(seq, "subscribe after the first snapshot");
+  if (b.pred_index >= num_predicates_)
+    violation(seq, "predicate index ", b.pred_index, " out of range [0, ",
+              num_predicates_, ")");
   for (const Subscription& s : subs_)
-    if (s.id == b.sub_id) {
-      std::ostringstream os;
-      os << "subscription id " << b.sub_id << " reused";
-      violation(os.str(), seq);
-    }
+    if (s.id == b.sub_id)
+      violation(seq, "subscription id ", b.sub_id, " reused");
 
   Subscription sub;
   sub.id = b.sub_id;
@@ -146,54 +135,36 @@ void Session::apply_subscribe(const SubscribeBody& b, std::uint64_t seq) {
 }
 
 void Session::apply_snapshot(const SnapshotBody& b, std::uint64_t seq) {
-  if (!hello_seen_) violation("snapshot before hello", seq);
-  if (b.slot >= buffer_->slots()) {
-    std::ostringstream os;
-    os << "process slot " << b.slot << " out of range [0, "
-       << buffer_->slots() << ")";
-    violation(os.str(), seq);
-  }
+  if (!hello_seen_) violation(seq, "snapshot before hello");
+  if (b.slot >= buffer_->slots())
+    violation(seq, "process slot ", b.slot, " out of range [0, ",
+              buffer_->slots(), ")");
   const auto s = static_cast<std::size_t>(b.slot);
-  if (buffer_->eos(s)) {
-    std::ostringstream os;
-    os << "snapshot on slot " << b.slot << " after its eos";
-    violation(os.str(), seq);
-  }
+  if (buffer_->eos(s))
+    violation(seq, "snapshot on slot ", b.slot, " after its eos");
   const StateIndex expected = buffer_->last(s) + 1;
-  if (b.clock[s] != expected) {
-    std::ostringstream os;
-    os << "non-monotone clock on slot " << b.slot << ": own component "
-       << b.clock[s] << ", expected " << expected;
-    violation(os.str(), seq);
-  }
+  if (b.clock[s] != expected)
+    violation(seq, "non-monotone clock on slot ", b.slot, ": own component ",
+              b.clock[s], ", expected ", expected);
   // A first state has seen no other process. The lattice walk relies on
   // it: the bottom cut is consistent only if every first clock is a unit.
   if (expected == 1) {
     for (std::size_t t = 0; t < buffer_->slots(); ++t)
-      if (t != s && b.clock[t] != 0) {
-        std::ostringstream os;
-        os << "first snapshot on slot " << b.slot << " has component " << t
-           << " = " << b.clock[t] << ", expected 0";
-        violation(os.str(), seq);
-      }
+      if (t != s && b.clock[t] != 0)
+        violation(seq, "first snapshot on slot ", b.slot, " has component ",
+                  t, " = ", b.clock[t], ", expected 0");
   }
   if (buffer_->last(s) >= buffer_->base(s)) {
     for (std::size_t t = 0; t < buffer_->slots(); ++t)
-      if (b.clock[t] < buffer_->clock(s, buffer_->last(s), t)) {
-        std::ostringstream os;
-        os << "non-monotone clock on slot " << b.slot << ": component " << t
-           << " went from " << buffer_->clock(s, buffer_->last(s), t)
-           << " to " << b.clock[t];
-        violation(os.str(), seq);
-      }
+      if (b.clock[t] < buffer_->clock(s, buffer_->last(s), t))
+        violation(seq, "non-monotone clock on slot ", b.slot, ": component ",
+                  t, " went from ", buffer_->clock(s, buffer_->last(s), t),
+                  " to ", b.clock[t]);
   }
   for (std::size_t t = 0; t < buffer_->slots(); ++t)
-    if (b.clock[t] > 0xFFFFFFFF) {
-      std::ostringstream os;
-      os << "clock component " << t << " (" << b.clock[t]
-         << ") exceeds the packed 32-bit range";
-      violation(os.str(), seq);
-    }
+    if (b.clock[t] > 0xFFFFFFFF)
+      violation(seq, "clock component ", t, " (", b.clock[t],
+                ") exceeds the packed 32-bit range");
 
   snapshots_started_ = true;
   buffer_->append(s, b.clock, b.pred_mask);
@@ -214,29 +185,23 @@ void Session::eos_slot(std::size_t s) {
 }
 
 void Session::apply_eos(std::uint32_t slot, std::uint64_t seq) {
-  if (!hello_seen_) violation("eos before hello", seq);
+  if (!hello_seen_) violation(seq, "eos before hello");
   if (slot == kAllSlots) {
     for (std::size_t s = 0; s < buffer_->slots(); ++s)
       if (!buffer_->eos(s)) eos_slot(s);
   } else {
-    if (slot >= buffer_->slots()) {
-      std::ostringstream os;
-      os << "process slot " << slot << " out of range [0, "
-         << buffer_->slots() << ")";
-      violation(os.str(), seq);
-    }
-    if (buffer_->eos(static_cast<std::size_t>(slot))) {
-      std::ostringstream os;
-      os << "duplicate eos on slot " << slot;
-      violation(os.str(), seq);
-    }
+    if (slot >= buffer_->slots())
+      violation(seq, "process slot ", slot, " out of range [0, ",
+                buffer_->slots(), ")");
+    if (buffer_->eos(static_cast<std::size_t>(slot)))
+      violation(seq, "duplicate eos on slot ", slot);
     eos_slot(static_cast<std::size_t>(slot));
   }
   report_new_verdicts();
 }
 
 void Session::apply_finish(std::uint64_t seq) {
-  if (!hello_seen_) violation("finish before hello", seq);
+  if (!hello_seen_) violation(seq, "finish before hello");
   for (std::size_t s = 0; s < buffer_->slots(); ++s)
     if (!buffer_->eos(s)) eos_slot(s);
   report_new_verdicts();

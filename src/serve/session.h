@@ -5,14 +5,16 @@
 // it emits encoded response frames through its output callback. Inside:
 //
 //   1. Resequencer — frames carry per-connection sequence numbers; the
-//      session applies them strictly in order, stashing out-of-order
-//      arrivals (bounded by ServeOptions::reseq_window — the backpressure
-//      bound) and discarding duplicates. The host feeds every frame it
-//      drained in one go and then calls end_batch(), which answers the
-//      whole batch with one cumulative ACK — even a batch of duplicates
-//      only, so a client that resends after a lost ACK still learns where
-//      the stream stands. FINISH answers its own batch: the ACK goes out
-//      just before STATS, and STATS counts it.
+//      session applies them strictly in order through the sequence-and-ACK
+//      core it shares with sim/reliable.h (common/seq_window.h), which
+//      stashes out-of-order arrivals and drops duplicates. The session
+//      adds the stash bound (ServeOptions::reseq_window, the backpressure
+//      bound) and the per-batch ACK: the host feeds every frame it drained
+//      in one go and then calls end_batch(), which answers the batch with
+//      one cumulative ACK — even a batch of duplicates only, so a client
+//      that resends after a lost ACK still learns where the stream stands.
+//      FINISH answers its own batch: the ACK goes out just before STATS,
+//      and STATS counts it.
 //
 //   2. Subscriptions — HELLO declares slots and a predicate count;
 //      SUBSCRIBE attaches one detection core (token, centralized,
@@ -37,12 +39,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "app/state_stream.h"
+#include "common/seq_window.h"
 #include "serve/protocol.h"
 #include "serve/serve_stats.h"
 #include "serve/stream_buffer.h"
@@ -95,8 +97,7 @@ class Session {
   };
 
   void send_ack(std::uint64_t next_seq);
-  void apply_next(std::span<const std::uint8_t> bytes);
-  void apply(const Frame& f);
+  void apply(std::span<const std::uint8_t> bytes);
   void apply_hello(const HelloBody& h, std::uint64_t seq);
   void apply_subscribe(const SubscribeBody& b, std::uint64_t seq);
   void apply_snapshot(const SnapshotBody& b, std::uint64_t seq);
@@ -109,16 +110,11 @@ class Session {
   void sample_checker_bytes();
   void emit(const Frame& f);
 
-  [[noreturn]] static void violation(const std::string& why,
-                                     std::uint64_t seq);
-
   ServeOptions opts_;
   Output out_;
   ServeStats stats_;
 
-  // Resequencer.
-  std::uint64_t next_seq_ = 0;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> pending_;
+  SeqReceiver<std::vector<std::uint8_t>> received_;
   std::uint64_t out_seq_ = 0;
   bool ack_owed_ = false;  // frames fed since the last ACK
 

@@ -26,62 +26,33 @@ void ReliableTransport::send(NodeAddr from, NodeAddr to, MsgKind kind,
   auto& ch = senders_[key];
   ch.from = from;
   ch.to = to;
-  const std::int64_t seq = ++ch.next_seq;
-  ch.unacked.emplace(
-      seq, Unacked{kind, std::move(payload), bits, cfg_.rto_initial});
-  transmit(ch, seq);
-  arm_retransmit(key, seq, cfg_.rto_initial);
+  transmit(key, ch.window.push(Unacked{kind, std::move(payload), bits,
+                                       cfg_.rto_initial}));
 }
 
-void ReliableTransport::transmit(SenderChannel& ch, std::int64_t seq) {
-  const auto it = ch.unacked.find(seq);
-  if (it == ch.unacked.end()) return;
-  ReliableFrame f;
-  f.type = ReliableFrame::Type::kData;
-  f.seq = seq;
-  f.inner_kind = it->second.kind;
-  f.inner_bits = it->second.bits;
-  f.inner = it->second.payload;  // keep the original for retransmission
-  // The frame keeps the logical kind on the wire so per-kind message/bit
+void ReliableTransport::transmit(std::uint64_t key, std::uint64_t seq) {
+  SenderChannel& ch = senders_.at(key);
+  const Unacked& u = *ch.window.find(seq);
+  // The frame copies the payload (the original stays for retransmission)
+  // and keeps the logical kind on the wire, so per-kind message/bit
   // accounting still reflects what the channel carries.
-  net_.raw_send(ch.from, ch.to, it->second.kind, Payload(std::move(f)),
-                it->second.bits + cfg_.header_bits);
-}
-
-void ReliableTransport::arm_retransmit(std::uint64_t key, std::int64_t seq,
-                                       SimTime delay) {
+  net_.raw_send(ch.from, ch.to, u.kind,
+                Payload(ReliableFrame{ReliableFrame::Type::kData, seq, u.kind,
+                                      u.bits, u.payload}),
+                u.bits + cfg_.header_bits);
   // node_after, not a plain timer: a crashed sender stops retransmitting
   // until it restarts (its unacked buffer models durable transport state).
-  net_.node_after(senders_.at(key).from, delay,
-                  [this, key, seq] { on_retransmit_timer(key, seq); });
-}
-
-void ReliableTransport::on_retransmit_timer(std::uint64_t key,
-                                            std::int64_t seq) {
-  const auto it = senders_.find(key);
-  if (it == senders_.end()) return;
-  SenderChannel& ch = it->second;
-  const auto u = ch.unacked.find(seq);
-  if (u == ch.unacked.end()) return;  // acked in the meantime
-  if (net_.is_down_forever(ch.to)) {
-    // Destination crashed with no scheduled restart. Keep the unacked state
-    // but stop the timer chain so the simulation can drain.
-    return;
-  }
-  ++net_.fault_counters().retransmits;
-  transmit(ch, seq);
-  u->second.rto = std::min(u->second.rto * 2, cfg_.rto_cap);
-  arm_retransmit(key, seq, u->second.rto);
-}
-
-void ReliableTransport::send_ack(NodeAddr receiver, NodeAddr sender,
-                                 std::int64_t cumulative) {
-  ++net_.fault_counters().acks;
-  ReliableFrame f;
-  f.type = ReliableFrame::Type::kAck;
-  f.seq = cumulative;
-  net_.raw_send(receiver, sender, MsgKind::kControl, Payload(std::move(f)),
-                cfg_.header_bits);
+  net_.node_after(ch.from, u.rto, [this, key, seq] {
+    SenderChannel& c = senders_.at(key);
+    Unacked* unacked = c.window.find(seq);
+    if (unacked == nullptr) return;  // acked in the meantime
+    // A destination crashed with no scheduled restart stops the timer
+    // chain (the unacked state stays) so the simulation can drain.
+    if (net_.is_down_forever(c.to)) return;
+    ++net_.fault_counters().retransmits;
+    unacked->rto = std::min(unacked->rto * 2, cfg_.rto_cap);
+    transmit(key, seq);
+  });
 }
 
 void ReliableTransport::on_frame(Packet&& p) {
@@ -91,37 +62,28 @@ void ReliableTransport::on_frame(Packet&& p) {
     // The ack travelled receiver -> sender; the data channel is (to, from).
     const auto it = senders_.find(channel_key(p.to, p.from));
     if (it == senders_.end()) return;
-    SenderChannel& ch = it->second;
-    if (f.seq <= ch.acked) return;  // stale cumulative ack
-    ch.acked = f.seq;
-    ch.unacked.erase(ch.unacked.begin(), ch.unacked.upper_bound(f.seq));
+    WCP_CHECK(it->second.window.ack(f.seq));
     return;
   }
 
-  const std::uint64_t key = channel_key(p.from, p.to);
-  ReceiverChannel& rc = receivers_[key];
-  if (f.seq <= rc.delivered || rc.pending.contains(f.seq)) {
-    ++net_.fault_counters().dup_suppressed;
-  } else if (f.seq == rc.delivered + 1) {
-    // In order: hand it up, then flush any buffered successors.
-    rc.delivered = f.seq;
-    net_.deliver_to_node(
-        Packet{p.from, p.to, f.inner_kind, f.inner_bits, std::move(f.inner)});
-    for (auto nit = rc.pending.find(rc.delivered + 1); nit != rc.pending.end();
-         nit = rc.pending.find(rc.delivered + 1)) {
-      ReliableFrame nf = std::move(nit->second);
-      rc.pending.erase(nit);
-      rc.delivered = nf.seq;
-      net_.deliver_to_node(Packet{p.from, p.to, nf.inner_kind, nf.inner_bits,
-                                  std::move(nf.inner)});
-    }
-  } else {
-    ++net_.fault_counters().resequenced;
-    rc.pending.emplace(f.seq, std::move(f));
+  auto& rc = receivers_[channel_key(p.from, p.to)];
+  FaultCounters& counters = net_.fault_counters();
+  switch (rc.arrive(f.seq, [&] { return std::move(f); })) {
+    case SeqArrival::kDuplicate: ++counters.dup_suppressed; break;
+    case SeqArrival::kStashed: ++counters.resequenced; break;
+    case SeqArrival::kNext:  // hand it up, then every stashed successor
+      for (ReliableFrame* d = &f; d != nullptr; d = rc.advance())
+        net_.deliver_to_node(Packet{p.from, p.to, d->inner_kind,
+                                    d->inner_bits, std::move(d->inner)});
   }
   // Re-ack on every arrival (including duplicates): a lost ack is repaired
   // by the retransmission it provokes.
-  send_ack(p.to, p.from, rc.delivered);
+  ++counters.acks;
+  ReliableFrame ack;
+  ack.type = ReliableFrame::Type::kAck;
+  ack.seq = rc.next();
+  net_.raw_send(p.to, p.from, MsgKind::kControl, Payload(std::move(ack)),
+                cfg_.header_bits);
 }
 
 }  // namespace wcp::sim

@@ -1,29 +1,18 @@
 // Ack/retransmission transport: exactly-once FIFO delivery over the lossy
-// network that sim/fault.h produces.
-//
-// The paper assumes reliable channels plus FIFO app->monitor links (§2,
-// §3.1). When a FaultPlan drops, duplicates or reorders traffic, channels
-// that opted into this transport regain exactly those guarantees:
-//   - every logical message is eventually delivered exactly once
-//     (per-message sequence numbers; timeout retransmission with
-//     exponential backoff capped at `rto_cap`; cumulative acks;
-//     duplicate suppression at the receiver),
-//   - delivery order per channel equals send order (a resequencing
-//     buffer holds out-of-order frames until the gap fills).
-//
-// The transport lives inside the Network (one instance per run) but its
-// state is logically per-node: a sender's unacked buffer and a receiver's
-// resequencing buffer model durable per-process transport state that
-// survives a crash/restart of that process (write-ahead-log style), while
-// frames in flight to a crashed process are lost like any other message.
-// Retransmission timers of a crashed sender hold off until it restarts.
+// network of sim/fault.h, the reliable channels the paper assumes (§2,
+// §3.1). Each channel runs the sequence-and-ACK core (common/seq_window.h);
+// this host adds a retransmission timer per unacked frame, backing off
+// exponentially up to `rto_cap`, and crash durability: a sender's unacked
+// frames and a receiver's stash survive a crash/restart of their process
+// (write-ahead-log style), frames in flight to a crashed process are lost,
+// and a crashed sender's timers hold off until it restarts.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 
 #include "common/metrics.h"
+#include "common/seq_window.h"
 #include "sim/address.h"
 #include "sim/payload.h"
 
@@ -41,12 +30,12 @@ struct ReliableConfig {
 
 /// On-the-wire unit of the transport. Data frames carry the logical message
 /// (kind/payload/bits) plus a channel sequence number; ack frames carry the
-/// receiver's cumulative in-order high-water mark. Frames never reach
-/// Node::on_packet — the Network routes them through ReliableTransport.
+/// next seq the receiver expects. Frames never reach Node::on_packet — the
+/// Network routes them through ReliableTransport.
 struct ReliableFrame {
   enum class Type : std::uint8_t { kData, kAck };
   Type type = Type::kData;
-  std::int64_t seq = 0;  ///< data: channel sequence (1-based); ack: cumulative
+  std::uint64_t seq = 0;  ///< data: channel seq (from 0); ack: next expected
   MsgKind inner_kind = MsgKind::kApplication;
   std::int64_t inner_bits = 0;
   Payload inner;
@@ -71,29 +60,21 @@ class ReliableTransport {
     MsgKind kind;
     Payload payload;
     std::int64_t bits = 0;
-    SimTime rto = 0;  ///< current backoff value
+    SimTime rto = 0;  ///< current retransmission timeout (backs off)
   };
   struct SenderChannel {
     NodeAddr from, to;
-    std::int64_t next_seq = 0;   ///< last assigned
-    std::int64_t acked = 0;      ///< cumulative ack received
-    std::map<std::int64_t, Unacked> unacked;
-  };
-  struct ReceiverChannel {
-    std::int64_t delivered = 0;  ///< cumulative in-order high-water mark
-    std::map<std::int64_t, ReliableFrame> pending;  ///< out-of-order buffer
+    SeqSender<Unacked> window;
   };
 
   [[nodiscard]] std::uint64_t channel_key(NodeAddr from, NodeAddr to) const;
-  void transmit(SenderChannel& ch, std::int64_t seq);
-  void arm_retransmit(std::uint64_t key, std::int64_t seq, SimTime delay);
-  void on_retransmit_timer(std::uint64_t key, std::int64_t seq);
-  void send_ack(NodeAddr receiver, NodeAddr sender, std::int64_t cumulative);
+  /// Sends frame `seq` of channel `key` and arms its retransmission timer.
+  void transmit(std::uint64_t key, std::uint64_t seq);
 
   Network& net_;
   ReliableConfig cfg_;
   std::unordered_map<std::uint64_t, SenderChannel> senders_;
-  std::unordered_map<std::uint64_t, ReceiverChannel> receivers_;
+  std::unordered_map<std::uint64_t, SeqReceiver<ReliableFrame>> receivers_;
 };
 
 }  // namespace wcp::sim

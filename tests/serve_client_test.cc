@@ -3,11 +3,13 @@
 // socket write over TCP); the bytes and sequence numbers that reach the
 // wire must be exactly those of the one-send()-per-frame path, and an ACK
 // must release exactly the frames below its next_seq — what is left is
-// what retransmit() resends, again as one batch.
+// what retransmit() resends, again as one batch. An ACK past the frames
+// sent is refused.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "serve/client.h"
@@ -149,6 +151,26 @@ TEST(ServeClient, AckReleasesExactlyTheFramesBelowIt) {
   c.retransmit();  // nothing unacked: no batch at all
   EXPECT_TRUE(t.frames.empty());
   EXPECT_EQ(t.batches.size(), 4u);
+}
+
+TEST(ServeClient, AckPastTheFramesSentFailsClosed) {
+  BatchTransport t;
+  StreamClient c(t, ClientOptions{64});
+  enqueue_stream(c);
+  c.pump();  // seqs 0..63 sent
+
+  // Accepting it would release the whole window and misfile every later
+  // frame; the client must refuse it and name both seqs.
+  t.inbox.push_back(encode_frame(make_ack(1000), 0));
+  try {
+    c.pump();
+    FAIL() << "an ACK past the frames sent was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "wcp-stream parse error: ACK 1000 is past the frames sent "
+                 "(next seq 64)");
+  }
+  EXPECT_FALSE(c.idle());
 }
 
 }  // namespace
