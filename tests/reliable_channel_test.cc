@@ -66,6 +66,9 @@ RunOutcome run_channel(const FaultPlan& plan, int count,
   cfg.faults = plan;
   cfg.reliable = rc;
   cfg.reliable_all = true;
+  // A transport that stops delivering would retransmit forever; the budget
+  // turns that into a failure. The largest run here takes 785 events.
+  cfg.max_events = 100'000;
 
   Network net(std::move(cfg));
   RunOutcome out;
@@ -75,6 +78,7 @@ RunOutcome run_channel(const FaultPlan& plan, int count,
   net.add_node(NodeAddr::app(ProcessId(1)),
                std::make_unique<Receiver>(&out.received));
   net.start_and_run();
+  EXPECT_FALSE(net.truncated()) << "event budget exhausted";
   out.faults = net.fault_counters();
   out.end_time = net.simulator().now();
   return out;
